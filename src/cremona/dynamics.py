@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import (
     NOT_CONTRACTED,
     NOT_FULLY_SPLIT,
+    DegreeMismatch,
     FieldObstruction,
     ResourceLimit,
 )
@@ -79,9 +80,8 @@ def degree_sequence(f, N=None):
                     period = k - (j + 1)
                     break
             seen.append(cur)
-    assert all(
-        degs[i + 1] <= degs[i] * degs[0] for i in range(len(degs) - 1)
-    ), "degree sequence must be submultiplicative"
+    if not all(degs[i + 1] <= degs[i] * degs[0] for i in range(len(degs) - 1)):
+        raise DegreeMismatch(f"degree sequence {degs} is not submultiplicative")
     return DegreeSequence(degrees=degs, horizon=N, period=period)
 
 

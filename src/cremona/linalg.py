@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DimensionMismatch, InexactDivision
 from .scalars import Scalar
 
 SZERO = Scalar(0)
@@ -12,7 +13,8 @@ SONE = Scalar(1)
 
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
-    assert len(A[0]) == m
+    if len(A[0]) != m:
+        raise DimensionMismatch(f"{n}x{len(A[0])} times {m}x{p}")
     return [
         [sum((A[i][k] * B[k][j] for k in range(m)), start=_zero_like(A, B)) for j in range(p)]
         for i in range(n)
@@ -158,7 +160,8 @@ def charpoly_int(M):
     out = list(reversed(coeffs))
     ints = []
     for c in out:
-        assert c.denominator == 1, "characteristic polynomial must be integral"
+        if c.denominator != 1:
+            raise InexactDivision("characteristic polynomial must be integral")
         ints.append(int(c))
     return ints  # constant term first
 

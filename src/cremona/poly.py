@@ -1,26 +1,27 @@
 """Sparse polynomials over Scalar: homogeneous ternary forms and bivariate
 affine polynomials, with gcd, substitution, Jacobians and splitting of low
 degree forms into linear factors.
+
+Composition and gcd run on sympy Polys.  `compose_reduce` works over ZZ
+for maps over Q: both triples are scaled to integer coefficients, and the
+common factor and the reduced components come from gcd cofactors, without
+exact division.  Over Q(sqrt(d)) it works in sympy's algebraic field, with
+coefficients converted directly as lists [b, a] for b*sqrt(d) + a.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
-from .errors import DegreeMismatch, NOT_FULLY_SPLIT
-from .scalars import Scalar
-from .unipoly import (
-    RatFunc,
-    padd,
-    pdegree,
-    pdivmod,
-    pgcd,
-    pmul,
-    pquo_exact,
-    pstrip,
+from .errors import (
+    DegreeMismatch,
+    IncompatibleField,
+    InexactDivision,
+    NOT_FULLY_SPLIT,
 )
+from .scalars import Scalar
+from .unipoly import padd, pdegree, pdivmod, pgcd, pmul, pstrip
 
 SZERO = Scalar(0)
 SONE = Scalar(1)
@@ -217,14 +218,6 @@ class HomPoly:
     __repr__ = __str__
 
 
-def poly_arith(p, q, op):
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
 def substitute(p, images):
     """p(f0, f1, f2) for homogeneous images of a common degree."""
     f0, f1, f2 = images
@@ -291,78 +284,7 @@ def divide_exact(p, q):
     return quot
 
 
-# -- gcd ------------------------------------------------------------------
-
-def _to_x_coeffs(biv):
-    """Bivariate dict {(i,j): c} -> list over x of y-coefficient lists."""
-    dx = max((e[0] for e in biv), default=0)
-    dy = max((e[1] for e in biv), default=0)
-    out = [[SZERO] * (dy + 1) for _ in range(dx + 1)]
-    for (i, j), c in biv.items():
-        out[i][j] = c
-    return [pstrip(row) for row in out]
-
-
-def _biv_from_x_coeffs(rows):
-    out = {}
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            if c:
-                out[(i, j)] = c
-    return out
-
-
-def _biv_gcd(p, q):
-    """gcd of bivariate dicts over the scalar field, up to a unit."""
-    if not p:
-        return dict(q)
-    if not q:
-        return dict(p)
-    rp = _to_x_coeffs(p)
-    rq = _to_x_coeffs(q)
-    cont_p = []
-    for row in rp:
-        cont_p = pgcd(cont_p, row) if cont_p or row else (row or cont_p)
-    cont_q = []
-    for row in rq:
-        cont_q = pgcd(cont_q, row) if cont_q or row else (row or cont_q)
-    cont = pgcd(cont_p, cont_q)
-    prim_p = [pquo_exact(row, cont_p) if row else [] for row in rp]
-    prim_q = [pquo_exact(row, cont_q) if row else [] for row in rq]
-    # Euclid in F(y)[x]
-    a = [RatFunc(row) for row in prim_p]
-    b = [RatFunc(row) for row in prim_q]
-    a = pstrip(a)
-    b = pstrip(b)
-    while b:
-        _, r = pdivmod(a, b)
-        a, b = b, r
-    # clear denominators of the monic gcd in x
-    den = [SONE]
-    for c in a:
-        den = pquo_exact(pmul(den, list(c.den)), pgcd(den, list(c.den)))
-    rows = []
-    for c in a:
-        num = pmul(list(c.num), pquo_exact(den, list(c.den)))
-        rows.append(num)
-    # primitive part in y
-    cont_g = []
-    for row in rows:
-        cont_g = pgcd(cont_g, row) if cont_g or row else (row or cont_g)
-    rows = [pquo_exact(row, cont_g) if row else [] for row in rows]
-    # multiply the y-content gcd back in
-    rows = [pmul(row, cont) for row in rows]
-    return _biv_from_x_coeffs(rows)
-
-
-def _dehom_z(p):
-    return {(e[0], e[1]): c for e, c in p.terms.items()}
-
-
-def _hom_z(biv):
-    deg = max((i + j for (i, j) in biv), default=0)
-    return HomPoly({(i, j, deg - i - j): c for (i, j), c in biv.items()}, deg)
-
+# -- sympy bridge: conversion, gcd and composition ------------------------
 
 _sympy_cache = {}
 
@@ -377,15 +299,31 @@ def _sympy_ctx():
     return _sympy_cache["sp"], _sympy_cache["syms"]
 
 
+def _syms2():
+    return _sympy_ctx()[1][:2]
+
+
 def _field_domain(field_d):
+    """Sympy domain of Q(sqrt(field_d)): QQ when field_d is 0.
+
+    Field elements are built and read as coefficient lists [b, a] standing
+    for b*sqrt(d) + a.  That holds only when sympy generates the field by
+    sqrt(d) itself, which is checked once per field.
+    """
     sp, _syms = _sympy_ctx()
     key = ("dom", field_d)
     if key not in _sympy_cache:
         if field_d:
             sd = sp.sqrt(sp.Rational(field_d.numerator, field_d.denominator))
-            _sympy_cache[key] = (sp.QQ.algebraic_field(sd), sd)
+            dom = sp.QQ.algebraic_field(sd)
+            if dom.to_sympy(dom([sp.QQ(1), sp.QQ(0)])) != sd:
+                raise IncompatibleField(
+                    f"sympy generates Q(sqrt({field_d})) by {dom.ext}, "
+                    f"not by sqrt({field_d})"
+                )
+            _sympy_cache[key] = dom
         else:
-            _sympy_cache[key] = (sp.QQ, None)
+            _sympy_cache[key] = sp.QQ
     return _sympy_cache[key]
 
 
@@ -405,38 +343,67 @@ def _expr_to_scalar(sp, co, sd, field_d):
     return Scalar(Fraction(int(r.p), int(r.q)))
 
 
+def _scalar_to_dom(dom, co):
+    """Scalar to an element of QQ or of Q(sqrt(d)) (as the list [b, a])."""
+    sp, _syms = _sympy_ctx()
+    a = sp.QQ(co.a.numerator, co.a.denominator)
+    if dom is sp.QQ:
+        return a
+    return dom([sp.QQ(co.b.numerator, co.b.denominator), a])
+
+
+def _dom_to_scalar(co, field_d):
+    """Element of ZZ, QQ or Q(sqrt(field_d)) to Scalar."""
+    if not field_d:
+        return Scalar(Fraction(co.numerator, co.denominator))
+    ab = co.to_list()
+    a = ab[-1] if ab else 0
+    b = ab[-2] if len(ab) > 1 else 0
+    return Scalar(
+        Fraction(a.numerator, a.denominator),
+        Fraction(b.numerator, b.denominator),
+        field_d,
+    )
+
+
 def _to_sympy(p, field_d):
     sp, syms = _sympy_ctx()
-    dom, sd = _field_domain(field_d)
-    d = {}
-    for e, c in p.terms.items():
-        if c.b:
-            co = dom.from_sympy(
-                sp.Rational(c.a.numerator, c.a.denominator)
-                + sp.Rational(c.b.numerator, c.b.denominator) * sd
-            )
-        else:
-            co = dom.convert(sp.QQ(c.a.numerator, c.a.denominator), sp.QQ)
-        d[e] = co
+    dom = _field_domain(field_d)
+    d = {e: _scalar_to_dom(dom, c) for e, c in p.terms.items()}
     return sp.Poly.from_dict(d, *syms, domain=dom)
 
 
 def _from_sympy(pol, field_d):
-    sp, _syms = _sympy_ctx()
-    _dom, sd = _field_domain(field_d)
-    terms = {}
-    for mono, co in pol.as_dict().items():
-        c = _expr_to_scalar(sp, co, sd if field_d else None, field_d)
-        if c:
-            terms[tuple(mono)] = c
+    terms = {
+        tuple(mono): _dom_to_scalar(co, field_d)
+        for mono, co in pol.as_dict(native=True).items()
+    }
     deg = max((sum(e) for e in terms), default=0)
     return HomPoly(terms, deg)
 
 
-def _gcd_via_sympy(p, q):
-    field_d = p.field_disc() or q.field_disc()
-    e1, e2 = _to_sympy(p, field_d), _to_sympy(q, field_d)
-    return _from_sympy(e1.gcd(e2), field_d)
+def _to_sympy2(p, field_d):
+    """Dehomogenized (z = 1) sympy Poly in (x, y)."""
+    sp, _ = _sympy_ctx()
+    dom = _field_domain(field_d)
+    d = {(i, j): _scalar_to_dom(dom, co) for (i, j, _k), co in p.terms.items()}
+    return sp.Poly.from_dict(d, *_syms2(), domain=dom)
+
+
+def _from_sympy2(pol, field_d, degree):
+    """Rehomogenize a bivariate sympy Poly to a HomPoly of the given degree."""
+    terms = {
+        (i, j, degree - i - j): _dom_to_scalar(co, field_d)
+        for (i, j), co in pol.as_dict(native=True).items()
+    }
+    return HomPoly(terms, degree)
+
+
+def _field_of(polys):
+    for p in polys:
+        if not p.is_zero() and p.field_disc():
+            return p.field_disc()
+    return Fraction(0)
 
 
 def reduce_triple(raws):
@@ -447,24 +414,7 @@ def reduce_triple(raws):
     """
     raws = list(raws)
     nonzero = [p for p in raws if not p.is_zero()]
-    try:
-        _sympy_ctx()
-    except ImportError:
-        g = gcd_many(raws)
-        if g.degree == 0:
-            return raws, None
-        out = []
-        for p in raws:
-            if p.is_zero():
-                out.append(HomPoly.zero(nonzero[0].degree - g.degree))
-            else:
-                out.append(divide_exact(p, g))
-        return out, g
-    field_d = Fraction(0)
-    for p in nonzero:
-        if p.field_disc():
-            field_d = p.field_disc()
-            break
+    field_d = _field_of(nonzero)
     pols = [_to_sympy(p, field_d) for p in nonzero]
     g = pols[0]
     for pol in pols[1:]:
@@ -485,60 +435,81 @@ def reduce_triple(raws):
     return out, ghom
 
 
-def _rescale_qq(sp, hs):
-    """Scale a QQ Poly list to coprime integer coefficients."""
-    num_gcd = 0
-    den_lcm = 1
-    for h in hs:
-        for co in h.coeffs():
-            num_gcd = math.gcd(num_gcd, int(co.p))
-            den_lcm = den_lcm * int(co.q) // math.gcd(den_lcm, int(co.q))
-    if num_gcd == 0:
-        return hs
-    scale = sp.Rational(den_lcm, num_gcd)
-    if scale == 1:
-        return hs
-    return [h * scale for h in hs]
+def _integer_terms(triple):
+    """Term dicts of a rational triple with integer coefficients, scaled
+    jointly by the lcm of all its denominators."""
+    den = 1
+    for p in triple:
+        for c in p.terms.values():
+            den = math.lcm(den, c.a.denominator)
+    return [
+        {e: c.a.numerator * (den // c.a.denominator) for e, c in p.terms.items()}
+        for p in triple
+    ]
 
 
-def _syms2():
-    sp, _syms = _sympy_ctx()
-    if "syms2" not in _sympy_cache:
-        _sympy_cache["syms2"] = _sympy_cache["syms"][:2]
-    return _sympy_cache["syms2"]
+def _substitute2(fterms, gs, one, zero):
+    """Dehomogenized f(g0, g1, g2) for each term dict of fterms.
+
+    Each distinct monomial in f's support is built once, as one product of
+    a lower monomial (cached for this call) with a component of g.
+    """
+    monos = {(0, 0, 0): one, (1, 0, 0): gs[0], (0, 1, 0): gs[1], (0, 0, 1): gs[2]}
+
+    def monomial(e):
+        if e not in monos:
+            t = next(a for a in range(3) if e[a])
+            lower = list(e)
+            lower[t] -= 1
+            monos[e] = monomial(tuple(lower)) * gs[t]
+        return monos[e]
+
+    hs = []
+    for terms in fterms:
+        acc = zero
+        for e, c in terms.items():
+            acc = acc + monomial(e).mul_ground(c)
+        hs.append(acc)
+    return hs
 
 
-def _scalar_to_dom(sp, dom, sd, co):
-    if co.b:
-        return dom.from_sympy(
-            sp.Rational(co.a.numerator, co.a.denominator)
-            + sp.Rational(co.b.numerator, co.b.denominator) * sd
-        )
-    return dom.convert(sp.QQ(co.a.numerator, co.a.denominator), sp.QQ)
+def _common_factor_zz(hs, one):
+    """gcd g of nonzero ZZ Polys and the quotients h / monic(g).
+
+    The quotients come from gcd cofactors rather than exact division: the
+    cofactors of (g, h) give the new gcd, h's cofactor, and the factor by
+    which the earlier cofactors grow when the gcd shrinks.  h / monic(g) is
+    lc(g) * (h / g), so the quotients are those of division over QQ.
+    """
+    g = hs[0]
+    cofs = []
+    for h in hs[1:]:
+        if g.is_ground:
+            break
+        g, shrink, cof = g.cofactors(h)
+        if not cofs:
+            cofs = [shrink]
+        elif not shrink.is_one:
+            cofs = [c * shrink for c in cofs]
+        cofs.append(cof)
+    if g.is_ground:
+        return g, hs
+    if not cofs:  # a single nonzero component is its own gcd
+        return g, [one]
+    lead = g.LC()
+    return g, [c.mul_ground(lead) for c in cofs]
 
 
-def _to_sympy2(p, field_d):
-    """Dehomogenized (z = 1) sympy Poly in (x, y)."""
-    sp, _ = _sympy_ctx()
-    dom, sd = _field_domain(field_d)
-    d = {}
-    for (i, j, _k), co in p.terms.items():
-        key = (i, j)
-        val = _scalar_to_dom(sp, dom, sd, co)
-        d[key] = d[key] + val if key in d else val
-    return sp.Poly.from_dict(d, *_syms2(), domain=dom)
-
-
-def _from_sympy2(pol, field_d, degree):
-    """Rehomogenize a bivariate sympy Poly to a HomPoly of the given degree."""
-    sp, _ = _sympy_ctx()
-    _dom, sd = _field_domain(field_d)
-    terms = {}
-    for (i, j), co in pol.as_dict().items():
-        c = _expr_to_scalar(sp, co, sd if field_d else None, field_d)
-        if c:
-            terms[(i, j, degree - i - j)] = c
-    return HomPoly(terms, degree)
+def _common_factor_field(hs):
+    """gcd g of nonzero Polys over a field and the quotients h / g."""
+    g = hs[0]
+    for h in hs[1:]:
+        if g.is_ground:
+            break
+        g = g.gcd(h)
+    if g.is_ground:
+        return g, hs
+    return g, [h.exquo(g) for h in hs]
 
 
 def compose_reduce(fcomps, gcomps):
@@ -547,77 +518,60 @@ def compose_reduce(fcomps, gcomps):
 
     Works in the affine chart z = 1 (everything is homogeneous, so the
     bivariate computation plus degree bookkeeping loses nothing) for a
-    much smaller dense representation.
+    much smaller dense representation.  Over Q both triples are scaled to
+    integer coefficients and composed as sympy Polys over ZZ; the joint
+    integer content is removed and the reduced components come from gcd
+    cofactors, with no exact division.  Over Q(sqrt(d)) the triples are
+    Polys over sympy's algebraic field, converted coefficient by coefficient
+    as [b, a] lists, and divided by their gcd exactly.  On both paths the
+    components are h / g for the gcd g made monic in sympy's order.
     """
     if all(len(p.terms) == 1 for p in fcomps) and \
             all(len(p.terms) == 1 for p in gcomps):
         return _compose_monomials(fcomps, gcomps)
-    try:
-        sp, _syms = _sympy_ctx()
-    except ImportError:
-        comps = [substitute(c, tuple(gcomps)) for c in fcomps]
-        return reduce_triple(comps)
-    field_d = Fraction(0)
-    for p in list(fcomps) + list(gcomps):
-        if not p.is_zero() and p.field_disc():
-            field_d = p.field_disc()
-            break
+    sp, _syms = _sympy_ctx()
+    field_d = _field_of(list(fcomps) + list(gcomps))
     dg = next(p.degree for p in gcomps if not p.is_zero())
     df = next(p.degree for p in fcomps if not p.is_zero())
     bigdeg = df * dg
-    gs = [_to_sympy2(p, field_d) for p in gcomps]
-    dom, sd = _field_domain(field_d)
+    if field_d:
+        dom = _field_domain(field_d)
+        fterms = [{e: _scalar_to_dom(dom, c) for e, c in p.terms.items()}
+                  for p in fcomps]
+        gs = [_to_sympy2(p, field_d) for p in gcomps]
+    else:
+        dom = sp.ZZ
+        fterms = _integer_terms(fcomps)
+        gs = [sp.Poly.from_dict({(i, j): c for (i, j, _k), c in terms.items()},
+                                *_syms2(), domain=dom)
+              for terms in _integer_terms(gcomps)]
     one = sp.Poly.from_dict({(0, 0): dom.one}, *_syms2(), domain=dom)
     zero = sp.Poly.from_dict({}, *_syms2(), domain=dom)
-    cache = {}
-
-    def power(tag, k):
-        if k == 0:
-            return one
-        key = (tag, k)
-        if key not in cache:
-            cache[key] = power(tag, k - 1) * gs[tag] if k > 1 else gs[tag]
-        return cache[key]
-
-    hs = []
-    for c in fcomps:
-        acc = zero
-        for (i, j, k), co in c.terms.items():
-            term = one.mul_ground(_scalar_to_dom(sp, dom, sd, co))
-            if i:
-                term = term * power(0, i)
-            if j:
-                term = term * power(1, j)
-            if k:
-                term = term * power(2, k)
-            acc = acc + term
-        hs.append(acc)
+    hs = _substitute2(fterms, gs, one, zero)
     nonzero = [h for h in hs if not h.is_zero]
     if not nonzero:
         return [HomPoly.zero(0)] * 3, None
     if not field_d:
-        nonzero = _rescale_qq(sp, nonzero)
-        it = iter(nonzero)
-        hs = [next(it) if not h.is_zero else h for h in hs]
+        content = 0
+        for h in nonzero:
+            content = math.gcd(content, int(h.content()))
+        if content > 1:
+            nonzero = [h.exquo_ground(content) for h in nonzero]
     # common z-power: bigdeg minus the top bivariate degree present
     zpow = bigdeg - max(h.total_degree() for h in nonzero)
-    g = nonzero[0]
-    for h in nonzero[1:]:
-        if g.is_ground:
-            break
-        g = g.gcd(h)
+    if field_d:
+        g, quotients = _common_factor_field(nonzero)
+    else:
+        g, quotients = _common_factor_zz(nonzero, one)
     gdeg = g.total_degree()
     if gdeg == 0 and zpow == 0:
-        return [_from_sympy2(h, field_d, bigdeg) for h in hs], None
-    newdeg = bigdeg - zpow - gdeg
-    comps = []
-    for h in hs:
-        if h.is_zero:
-            comps.append(HomPoly.zero(newdeg))
-        else:
-            q = h.exquo(g) if gdeg else h
-            comps.append(_from_sympy2(q, field_d, newdeg))
-    ghom = _from_sympy2(g, field_d, zpow + gdeg).monic()
+        newdeg, ghom = bigdeg, None
+    else:
+        newdeg = bigdeg - zpow - gdeg
+        ghom = _from_sympy2(g, field_d, zpow + gdeg).monic()
+    it = iter(quotients)
+    comps = [HomPoly.zero(newdeg) if h.is_zero else _from_sympy2(next(it), field_d, newdeg)
+             for h in hs]
     return comps, ghom
 
 
@@ -659,34 +613,9 @@ def poly_gcd(p, q):
         return q.monic()
     if q.is_zero():
         return p.monic()
-    try:
-        return _gcd_via_sympy(p, q).monic()
-    except ImportError:
-        pass
-    mono = [0, 0, 0]
-    for a in range(3):
-        mono[a] = min(p.min_exponent(a), q.min_exponent(a))
-    ps = p
-    qs = q
-    for a in range(3):
-        ps = ps.shift_down(a, ps.min_exponent(a))
-        qs = qs.shift_down(a, qs.min_exponent(a))
-    g2 = _biv_gcd(_dehom_z(ps), _dehom_z(qs))
-    g = _hom_z(g2) * HomPoly.monomial(SONE, tuple(mono))
-    return g.monic()
-
-
-def gcd_many(polys):
-    g = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        g = p if g is None else poly_gcd(g, p)
-        if g.degree == 0:
-            break
-    if g is None:
-        raise ValueError("gcd of all-zero family")
-    return g.monic()
+    field_d = p.field_disc() or q.field_disc()
+    g = _to_sympy(p, field_d).gcd(_to_sympy(q, field_d))
+    return _from_sympy(g, field_d).monic()
 
 
 # -- linear forms and line factorization ----------------------------------
@@ -856,7 +785,8 @@ def field_roots(coeffs, field_d=0):
             break
         roots.append(found)
         p, rem = pdivmod(p, [-found, SONE])
-        assert not rem
+        if rem:
+            raise InexactDivision(f"root {found} leaves remainder {rem}")
     return roots, fully
 
 
@@ -911,7 +841,8 @@ def factor_linear_cubic(c, field_d=None):
         if lf is None:
             return NOT_FULLY_SPLIT
         q = divide_exact(p, lf.to_poly())
-        assert q is not None
+        if q is None:
+            raise InexactDivision(f"linear factor {lf} does not divide {p}")
         factors.append((lf, 1))
         p = q
     # merge duplicate factors
@@ -1187,18 +1118,12 @@ class BiPoly:
 
 # -- parsing --------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([xyz]\^\d+|[xyz]|sqrt\(-?\d+(?:/\d+)?\)|\d+/\d+|\d+|\*|\+|-|\(|\))")
-
-
 def parse_poly(text, cls="hom"):
-    """Parse polynomial input: `3*x^2*y - 1/2*z^3`, parentheses and `**` ok."""
-    try:
-        return _parse_poly_sympy(text, cls)
-    except ImportError:
-        return _parse_poly_basic(text, cls)
+    """Parse polynomial input: `3*x^2*y - 1/2*z^3`, parentheses and `**` ok.
 
-
-def _parse_poly_sympy(text, cls):
+    The text goes through a sympy expression, whose field sympy finds with
+    `extension=True`; coefficients are read back from expressions.
+    """
     sp, syms = _sympy_ctx()
     x, y, z = syms
     loc = {"x": x, "y": y, "z": z, "sqrt": sp.sqrt, "Rational": sp.Rational}
@@ -1211,8 +1136,6 @@ def _parse_poly_sympy(text, cls):
             rads.add(pw.base)
     has_i = expr.has(sp.I)
     if len(rads) > 1:
-        from .errors import IncompatibleField
-
         raise IncompatibleField(f"multiple radicals in {text!r}")
     sd = None
     field_d = Fraction(0)
@@ -1236,70 +1159,3 @@ def _parse_poly_sympy(text, cls):
     if cls == "hom":
         return HomPoly(out)
     return BiPoly({(i, j): c for (i, j), c in out.items()})
-
-
-def _parse_poly_basic(text, cls="hom"):
-    """Parse `3*x^2*y - 1/2*z^3` style input (no implicit multiplication)."""
-    terms = []
-    for sign, chunk in _split_terms(text):
-        coef = Scalar(1) if sign == "+" else Scalar(-1)
-        exps = [0, 0, 0]
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in {chunk!r}")
-            if factor[0] in "xyz":
-                v = factor[0]
-                k = 1
-                if "^" in factor:
-                    k = int(factor.split("^")[1])
-                exps["xyz".index(v)] += k
-            elif factor.startswith("sqrt"):
-                from .scalars import parse_scalar
-                coef = coef * parse_scalar(factor)
-            else:
-                coef = coef * Scalar(Fraction(factor))
-        terms.append((tuple(exps), coef))
-    if cls == "hom":
-        out = {}
-        for e, c in terms:
-            out[e] = out.get(e, SZERO) + c
-        return HomPoly(out)
-    out = {}
-    for e, c in terms:
-        if e[2]:
-            raise ValueError("z not allowed in a bivariate polynomial")
-        key = (e[0], e[1])
-        out[key] = out.get(key, SZERO) + c
-    return BiPoly(out)
-
-
-def _split_terms(text):
-    """Split on top-level + and - (parentheses respected)."""
-    out = []
-    depth = 0
-    sign = "+"
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            cur.append(ch)
-        elif ch == ")":
-            depth -= 1
-            cur.append(ch)
-        elif ch in "+-" and depth == 0:
-            prev = "".join(cur).strip()
-            if prev and prev[-1] not in "*^":
-                out.append((sign, prev))
-                sign = ch
-                cur = []
-            elif not prev:
-                sign = ch if sign == "+" else ("+" if ch == "-" else "-")
-            else:
-                cur.append(ch)
-        else:
-            cur.append(ch)
-    chunk = "".join(cur).strip()
-    if chunk:
-        out.append((sign, chunk))
-    return out

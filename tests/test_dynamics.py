@@ -2,6 +2,7 @@
 
 import pytest
 
+import cremona.dynamics as dynamics
 from cremona.catalog import f_ab, f_alphabeta, phi_map
 from cremona.dynamics import (
     degree_sequence,
@@ -9,6 +10,7 @@ from cremona.dynamics import (
     lambda_estimate,
     stability_probe,
 )
+from cremona.errors import DegreeMismatch
 from cremona.ratmap import parse_ratmap
 
 SIGMA = parse_ratmap("y*z : x*z : x*y")
@@ -50,6 +52,13 @@ def test_submultiplicative_assertion_holds():
         seq = degree_sequence(f, 8)
         d = seq.degrees
         assert all(d[i + 1] <= d[i] * d[0] for i in range(len(d) - 1))
+
+
+def test_submultiplicativity_failure_is_a_typed_error(monkeypatch):
+    quintic = parse_ratmap("x^5 : y^5 : z^5")
+    monkeypatch.setattr(dynamics, "compose", lambda f, g: quintic)
+    with pytest.raises(DegreeMismatch):
+        degree_sequence(SIGMA, 3)  # degrees 2, 5: 5 > 2 * 2
 
 
 def test_lambda_estimate_requires_two_terms():

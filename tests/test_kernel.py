@@ -1,0 +1,139 @@
+"""The compose kernel against an independent path, and the sympy conversion.
+
+`compose` substitutes in the affine chart z = 1, over ZZ for rational maps
+(common factor from gcd cofactors) and over sympy's algebraic field for
+Q(sqrt d).  The reference substitutes with HomPoly arithmetic and reduces
+the trivariate triple with `normalize`.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+import cremona.poly as poly
+from cremona.catalog import E_INVOLUTION, RHO, SIGMA, TAU, f_ab
+from cremona.errors import IncompatibleField
+from cremona.linalg import det
+from cremona.poly import HomPoly, _from_sympy2, _to_sympy2, substitute
+from cremona.ratmap import RatMap, compose, normalize
+from cremona.scalars import Scalar
+
+SQRT_M3 = Scalar(0, 1, -3)
+
+small_int = st.integers(min_value=-2, max_value=2)
+small_rational = st.builds(
+    Fraction,
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+@st.composite
+def linear_maps(draw):
+    rows = draw(st.lists(st.lists(small_int, min_size=3, max_size=3),
+                         min_size=3, max_size=3))
+    M = [[Scalar(v) for v in row] for row in rows]
+    if not det(M):
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        M = [[Scalar(v) for v in row] for row in rows]
+    return RatMap.from_matrix(M)
+
+
+letters = st.one_of(
+    st.sampled_from([SIGMA, RHO, TAU, E_INVOLUTION]),
+    linear_maps(),
+    st.builds(f_ab, small_rational, small_rational),
+)
+
+
+@st.composite
+def words(draw):
+    """A map composed from up to two letters, so its degree stays <= 4."""
+    out = draw(letters)
+    for _ in range(draw(st.integers(min_value=0, max_value=1))):
+        out = compose(draw(letters), out)
+    return out
+
+
+def _reference(f, g):
+    return normalize([substitute(c, g.components) for c in f.components])
+
+
+def _same_factor(p, q):
+    if p is None or q is None:
+        return p is None and q is None
+    return p.degree == q.degree and p.monic() == q.monic()
+
+
+def _check_against_reference(f, g):
+    h = compose(f, g)
+    ref = _reference(f, g)
+    assert h.degree == ref.degree
+    assert h == ref
+    assert _same_factor(h.removed_factor, ref.removed_factor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(words(), words())
+def test_compose_matches_substitute_then_normalize(f, g):
+    _check_against_reference(f, g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_rational, words())
+def test_compose_over_sqrt_m3_matches_reference(b, g):
+    _check_against_reference(f_ab(SQRT_M3, b), g)
+
+
+def test_compose_removes_joint_content_and_z_power():
+    # sigma o sigma = (x^2yz : xy^2z : xyz^2): factor xyz, components x, y, z
+    h = compose(SIGMA, SIGMA)
+    assert h.is_identity()
+    assert h.removed_factor == HomPoly.var("x") * HomPoly.var("y") * HomPoly.var("z")
+    # scaled components keep the same primitive integer form
+    f = RatMap(tuple(c * Fraction(3, 7) for c in f_ab(1, 2).components))
+    assert compose(f, f_ab(1, 2)).components == compose(f_ab(1, 2), f_ab(1, 2)).components
+
+
+def test_compose_divides_by_the_monic_gcd():
+    # The substituted triple, made primitive over ZZ, is divided by its gcd
+    # made monic in sympy's lex order (here 2x^2 + xy -> x^2 + xy/2), so the
+    # components keep a factor 2 rather than coming out primitive.
+    h = compose(f_ab(1, 2), f_ab(1, 2))
+    assert str(h) == ("8*x^2 + 4*x*y + 4*x*z + 2*y*z : 4*x^2 + 6*x*z + 2*z^2"
+                      " : 6*x^2 + 2*x*y + 2*x*z")
+    assert str(h.removed_factor) == "x^2 + (1/2)*x*y"
+
+
+FIELDS = (Fraction(-3), Fraction(2), Fraction(-1), Fraction(1, 2))
+
+
+@st.composite
+def field_polys(draw):
+    d = draw(st.sampled_from(FIELDS))
+    deg = draw(st.integers(min_value=0, max_value=4))
+    terms = {}
+    for i in range(deg + 1):
+        for j in range(deg + 1 - i):
+            if draw(st.booleans()):
+                terms[(i, j, deg - i - j)] = Scalar(
+                    draw(small_rational), draw(small_rational), d)
+    return HomPoly(terms, deg), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_polys())
+def test_sympy2_round_trip(pd):
+    p, d = pd
+    assert _from_sympy2(_to_sympy2(p, d), d, p.degree) == p
+
+
+def test_field_not_generated_by_sqrt_d_is_rejected(monkeypatch):
+    qq = type(sympy.QQ)
+    build = qq.algebraic_field
+    monkeypatch.setattr(poly, "_sympy_cache", {})
+    monkeypatch.setattr(qq, "algebraic_field", lambda self, ext: build(self, 2 * ext))
+    with pytest.raises(IncompatibleField):
+        _to_sympy2(HomPoly.var("x") * Scalar(0, 1, -7), Fraction(-7))

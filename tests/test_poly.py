@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremona.errors import NOT_FULLY_SPLIT
+import cremona.poly as poly
+from cremona.errors import NOT_FULLY_SPLIT, InexactDivision
 from cremona.poly import (
     BiPoly,
     HomPoly,
@@ -119,3 +120,17 @@ def test_bipoly_basics():
     p = (x + y) ** 2
     assert p.degree == 2
     assert p.eval(Scalar(1), Scalar(2)) == Scalar(9)
+
+
+def test_field_roots_remainder_is_a_typed_error(monkeypatch):
+    exact = poly.pdivmod
+    monkeypatch.setattr(poly, "pdivmod", lambda p, q: (exact(p, q)[0], [Scalar(1)]))
+    with pytest.raises(InexactDivision):
+        field_roots([-6, 11, -6, 1])  # (u - 1)(u - 2)(u - 3)
+
+
+def test_factor_linear_cubic_quotient_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(poly, "_find_linear_factor",
+                        lambda p, field_d: LinearForm([1, 1, 1]))
+    with pytest.raises(InexactDivision):
+        factor_linear_cubic(X * Y + Z * Z)
