@@ -3,10 +3,11 @@ affine polynomials, with gcd, substitution, Jacobians and splitting of low
 degree forms into linear factors.
 
 Composition and gcd run on sympy Polys.  `compose_reduce` works over ZZ
-for maps over Q: both triples are scaled to integer coefficients, and the
-common factor and the reduced components come from gcd cofactors, without
-exact division.  Over Q(sqrt(d)) it works in sympy's algebraic field, with
-coefficients converted directly as lists [b, a] for b*sqrt(d) + a.
+for maps over Q: both triples are scaled to integer coefficients and only
+their integer content is divided out.  Over Q(sqrt(d)) it works in sympy's
+algebraic field, with coefficients converted directly as lists [b, a] for
+b*sqrt(d) + a.  On both, the common factor and the reduced components come
+from gcd cofactors, without polynomial exact division.
 """
 
 from __future__ import annotations
@@ -366,11 +367,15 @@ def _dom_to_scalar(co, field_d):
     )
 
 
+def _dom_terms(p, dom):
+    """Term dict of a HomPoly with coefficients in the sympy domain dom."""
+    return {e: _scalar_to_dom(dom, c) for e, c in p.terms.items()}
+
+
 def _to_sympy(p, field_d):
     sp, syms = _sympy_ctx()
     dom = _field_domain(field_d)
-    d = {e: _scalar_to_dom(dom, c) for e, c in p.terms.items()}
-    return sp.Poly.from_dict(d, *syms, domain=dom)
+    return sp.Poly.from_dict(_dom_terms(p, dom), *syms, domain=dom)
 
 
 def _from_sympy(pol, field_d):
@@ -382,12 +387,17 @@ def _from_sympy(pol, field_d):
     return HomPoly(terms, deg)
 
 
+def _poly2(terms, dom):
+    """Dehomogenized (z = 1) sympy Poly in (x, y) of a term dict over dom."""
+    sp, _ = _sympy_ctx()
+    d = {(i, j): co for (i, j, _k), co in terms.items()}
+    return sp.Poly.from_dict(d, *_syms2(), domain=dom)
+
+
 def _to_sympy2(p, field_d):
     """Dehomogenized (z = 1) sympy Poly in (x, y)."""
-    sp, _ = _sympy_ctx()
     dom = _field_domain(field_d)
-    d = {(i, j): _scalar_to_dom(dom, co) for (i, j, _k), co in p.terms.items()}
-    return sp.Poly.from_dict(d, *_syms2(), domain=dom)
+    return _poly2(_dom_terms(p, dom), dom)
 
 
 def _from_sympy2(pol, field_d, degree):
@@ -473,13 +483,13 @@ def _substitute2(fterms, gs, one, zero):
     return hs
 
 
-def _common_factor_zz(hs, one):
-    """gcd g of nonzero ZZ Polys and the quotients h / monic(g).
+def _common_factor(hs, one):
+    """gcd g of nonzero Polys and the quotients h / monic(g).
 
     The quotients come from gcd cofactors rather than exact division: the
     cofactors of (g, h) give the new gcd, h's cofactor, and the factor by
     which the earlier cofactors grow when the gcd shrinks.  h / monic(g) is
-    lc(g) * (h / g), so the quotients are those of division over QQ.
+    lc(g) * (h / g); over a field sympy's gcd is already monic.
     """
     g = hs[0]
     cofs = []
@@ -500,18 +510,6 @@ def _common_factor_zz(hs, one):
     return g, [c.mul_ground(lead) for c in cofs]
 
 
-def _common_factor_field(hs):
-    """gcd g of nonzero Polys over a field and the quotients h / g."""
-    g = hs[0]
-    for h in hs[1:]:
-        if g.is_ground:
-            break
-        g = g.gcd(h)
-    if g.is_ground:
-        return g, hs
-    return g, [h.exquo(g) for h in hs]
-
-
 def compose_reduce(fcomps, gcomps):
     """Substitute the triple g into each component of f and strip the
     common factor.  Returns (components, common_factor_or_None).
@@ -519,12 +517,12 @@ def compose_reduce(fcomps, gcomps):
     Works in the affine chart z = 1 (everything is homogeneous, so the
     bivariate computation plus degree bookkeeping loses nothing) for a
     much smaller dense representation.  Over Q both triples are scaled to
-    integer coefficients and composed as sympy Polys over ZZ; the joint
-    integer content is removed and the reduced components come from gcd
-    cofactors, with no exact division.  Over Q(sqrt(d)) the triples are
-    Polys over sympy's algebraic field, converted coefficient by coefficient
-    as [b, a] lists, and divided by their gcd exactly.  On both paths the
-    components are h / g for the gcd g made monic in sympy's order.
+    integer coefficients and composed as sympy Polys over ZZ, and the joint
+    integer content is divided out.  Over Q(sqrt(d)) the triples are Polys
+    over sympy's algebraic field, converted coefficient by coefficient as
+    [b, a] lists.  On both domains the common factor and the reduced
+    components come from gcd cofactors, with no polynomial exact division,
+    and the components are h / g for the gcd g made monic in sympy's order.
     """
     if all(len(p.terms) == 1 for p in fcomps) and \
             all(len(p.terms) == 1 for p in gcomps):
@@ -536,15 +534,13 @@ def compose_reduce(fcomps, gcomps):
     bigdeg = df * dg
     if field_d:
         dom = _field_domain(field_d)
-        fterms = [{e: _scalar_to_dom(dom, c) for e, c in p.terms.items()}
-                  for p in fcomps]
-        gs = [_to_sympy2(p, field_d) for p in gcomps]
+        fterms = [_dom_terms(p, dom) for p in fcomps]
+        gterms = [_dom_terms(p, dom) for p in gcomps]
     else:
         dom = sp.ZZ
         fterms = _integer_terms(fcomps)
-        gs = [sp.Poly.from_dict({(i, j): c for (i, j, _k), c in terms.items()},
-                                *_syms2(), domain=dom)
-              for terms in _integer_terms(gcomps)]
+        gterms = _integer_terms(gcomps)
+    gs = [_poly2(terms, dom) for terms in gterms]
     one = sp.Poly.from_dict({(0, 0): dom.one}, *_syms2(), domain=dom)
     zero = sp.Poly.from_dict({}, *_syms2(), domain=dom)
     hs = _substitute2(fterms, gs, one, zero)
@@ -559,10 +555,7 @@ def compose_reduce(fcomps, gcomps):
             nonzero = [h.exquo_ground(content) for h in nonzero]
     # common z-power: bigdeg minus the top bivariate degree present
     zpow = bigdeg - max(h.total_degree() for h in nonzero)
-    if field_d:
-        g, quotients = _common_factor_field(nonzero)
-    else:
-        g, quotients = _common_factor_zz(nonzero, one)
+    g, quotients = _common_factor(nonzero, one)
     gdeg = g.total_degree()
     if gdeg == 0 and zpow == 0:
         newdeg, ghom = bigdeg, None
