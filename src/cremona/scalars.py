@@ -102,6 +102,10 @@ class Scalar:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
+        # A rational Scalar equals its Fraction (and an integral one its int),
+        # so it must hash as that number does.
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     # -- arithmetic -------------------------------------------------------

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BUDGET_EXCEEDED, BadDimension, DimensionMismatch, NotARoot
+from .errors import BUDGET_EXCEEDED, BadDimension, DimensionMismatch, InexactDivision, NotARoot
 from .linalg import charpoly_int, mat_mul
-from .unipoly import pquo_exact  # noqa: F401  (re-exported convenience)
 
 MODULUS_TOL = 1e-8
 REFINE_TOL = 1e-10
@@ -143,26 +142,11 @@ def cyclotomic(d):
     num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            num = _intpoly_quo(num, cyclotomic(e))
+            num = _intpoly_divmod(num, cyclotomic(e))
+            if num is None:
+                raise InexactDivision(f"Phi_{e} does not divide x^{d} - 1")
     _cyclo_cache[d] = num
     return num
-
-
-def _intpoly_quo(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    while len(num) - 1 >= dn and any(num):
-        shift = len(num) - 1 - dn
-        c = num[-1] // den[-1]
-        out[shift] = c
-        for i, b in enumerate(den):
-            num[shift + i] -= c * b
-        while num and num[-1] == 0:
-            num.pop()
-    if any(num):
-        raise ArithmeticError("inexact integer polynomial division")
-    return out
 
 
 def _intpoly_divmod(num, den):
@@ -185,23 +169,38 @@ def _intpoly_divmod(num, den):
     return out
 
 
+def _totient(d):
+    """Euler's totient of d >= 1, the degree of Phi_d."""
+    out, m, q = d, d, 2
+    while q * q <= m:
+        if m % q == 0:
+            out -= out // q
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
 def strip_cyclotomic(p):
     """Divide out all cyclotomic factors; returns (residual, removed).
 
     Phi_d has degree phi(d) >= sqrt(d/2), so any cyclotomic factor of a
-    degree-k polynomial has d <= 2*k^2; that bounds the search.
+    degree-k polynomial has d <= 2*k^2; that bounds the search. Phi_d is
+    built and tried only when phi(d) is at most the degree still left.
     """
     p = list(p)
     removed = []
     deg0 = len(p) - 1
     d = 1
     while d <= 2 * deg0 * deg0 and len(p) > 1:
-        phi = cyclotomic(d)
-        q = _intpoly_divmod(p, phi)
-        if q is not None:
-            removed.append(d)
-            p = q
-            continue  # the same factor may divide again
+        if _totient(d) <= len(p) - 1:
+            q = _intpoly_divmod(p, cyclotomic(d))
+            if q is not None:
+                removed.append(d)
+                p = q
+                continue  # the same factor may divide again
         d += 1
     return p, removed
 
@@ -279,24 +278,33 @@ def spectral_radius(M):
 
 
 def group_order_bfs(n, budget=BFS_BUDGET):
-    """Order of W_n by breadth-first closure over the simple reflections."""
+    """Order of W_n as the size of the orbit of v = (0, 1, ..., n).
+
+    v pairs with alpha_0 to 6 and with every alpha_j to 1, so it lies in the
+    open fundamental chamber; W acts simply transitively on chambers
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), so the orbit
+    has |W_n| elements. The orbit is closed breadth first under the simple
+    reflections, applied to tuples: alpha_j swaps coordinates j and j+1, and
+    alpha_0 adds s*alpha_0 with s = x0 + x1 + x2 + x3. Returns
+    BUDGET_EXCEEDED once the orbit has more than `budget` elements, as it
+    does for the infinite groups n >= 9.
+    """
     if n < 3:
         raise BadDimension("need n >= 3")
-    gens = [reflection_matrix(a) for a in simple_roots(n)]
-    ident = tuple(
-        tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1)
-    )
-    seen = {ident}
-    frontier = [ident]
+    v = tuple(range(n + 1))
+    seen = {v}
+    frontier = [v]
     while frontier:
         nxt = []
-        for M in frontier:
-            for g in gens:
-                P = tuple(tuple(r) for r in mat_mul([list(r) for r in M], g))
-                if P not in seen:
-                    seen.add(P)
+        for x in frontier:
+            s = x[0] + x[1] + x[2] + x[3]
+            images = [(x[0] + s, x[1] - s, x[2] - s, x[3] - s) + x[4:]]
+            images.extend(x[:j] + (x[j + 1], x[j]) + x[j + 2:] for j in range(1, n))
+            for y in images:
+                if y not in seen:
+                    seen.add(y)
                     if len(seen) > budget:
                         return BUDGET_EXCEEDED
-                    nxt.append(P)
+                    nxt.append(y)
         frontier = nxt
     return len(seen)

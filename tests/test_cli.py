@@ -99,3 +99,8 @@ def test_orbit_csv(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,u,v" and len(lines) == 11
+
+
+def test_weyl_group_order(capsys):
+    code, data = run_json(capsys, "weyl", "--n", "6", "--standard", "--order")
+    assert code == 0 and data["group_order"] == 51840

@@ -1,11 +1,16 @@
-"""Exact linear algebra: checks that raise typed errors."""
+"""Exact linear algebra: checks that raise typed errors, and the integer and
+Fraction fast paths against independent references (sympy's charpoly, the
+rref carried out on Scalars)."""
 
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from cremona.errors import DimensionMismatch, InexactDivision
-from cremona.linalg import charpoly_int, mat_mul
+from cremona.linalg import _rref, charpoly_int, mat_inverse, mat_mul, nullspace, rref
+from cremona.scalars import Scalar
 
 
 def test_mat_mul_shape_mismatch_is_a_typed_error():
@@ -17,3 +22,127 @@ def test_charpoly_int_rejects_non_integral_polynomial():
     assert charpoly_int([[2, 1], [1, 1]]) == [1, -3, 1]
     with pytest.raises(InexactDivision):
         charpoly_int([[Fraction(1, 2)]])
+
+
+# -- charpoly_int against sympy ---------------------------------------------
+
+def _sympy_charpoly(M):
+    """det(tI - M) by sympy, as Fractions, constant term first."""
+    S = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in map(Fraction, row)]
+                      for row in M])
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(S.charpoly().all_coeffs())]
+
+
+@st.composite
+def int_matrices(draw, max_n=8):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.integers(min_value=-6, max_value=6)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def integral_rational_matrices(draw):
+    """P^-1 A P for integer A and a diagonal P of small positive integers:
+    rational entries, integral characteristic polynomial."""
+    A = draw(int_matrices(max_n=6))
+    p = draw(st.lists(st.integers(min_value=1, max_value=6),
+                      min_size=len(A), max_size=len(A)))
+    return [[Fraction(a * p[j], p[i]) for j, a in enumerate(row)] for i, row in enumerate(A)]
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+                      st.integers(min_value=1, max_value=4))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices())
+def test_charpoly_int_matches_sympy_on_integer_matrices(M):
+    out = charpoly_int(M)
+    assert all(type(c) is int for c in out)
+    assert out == _sympy_charpoly(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integral_rational_matrices())
+def test_charpoly_int_matches_sympy_on_rational_matrices_with_integral_polynomial(M):
+    out = charpoly_int(M)
+    assert all(type(c) is int for c in out)
+    assert out == _sympy_charpoly(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_charpoly_int_raises_exactly_when_the_polynomial_is_not_integral(M):
+    want = _sympy_charpoly(M)
+    if all(c.denominator == 1 for c in want):
+        assert charpoly_int(M) == want
+    else:
+        with pytest.raises(InexactDivision):
+            charpoly_int(M)
+
+
+def test_charpoly_int_rational_matrix_with_integral_polynomial():
+    M = [[Fraction(1, 2), 1], [Fraction(-3, 4), Fraction(1, 2)]]
+    assert charpoly_int(M) == [1, -1, 1]
+    assert charpoly_int([]) == [1]
+
+
+# -- rref: the Fraction fast path against the Scalar path -------------------
+
+def _scalar_rref(rows, ncols):
+    """rref carried out on the Scalars themselves, with no Fraction path."""
+    return _rref([list(r) for r in rows], ncols)
+
+
+def _nullspace_from(R, pivots, ncols):
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Scalar(0)] * ncols
+        v[fc] = Scalar(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def scalar_matrices(draw):
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                  st.integers(min_value=1, max_value=3)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return [[Scalar(v) for v in row] for row in rows], n
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalar_matrices())
+def test_rational_rref_and_nullspace_match_the_scalar_path(case):
+    M, ncols = case
+    R, pivots = rref(M, ncols)
+    R_ref, pivots_ref = _scalar_rref(M, ncols)
+    assert pivots == pivots_ref
+    assert R == R_ref
+    assert all(type(v) is Scalar for row in R for v in row)
+    basis = nullspace(M, ncols)
+    assert basis == _nullspace_from(R_ref, pivots_ref, ncols)
+    for v in basis:
+        assert all(not sum((a * b for a, b in zip(row, v)), Scalar(0)) for row in M)
+
+
+def test_quadratic_field_matrix_reduces_on_scalars():
+    w = Scalar(0, 1, -3)
+    A = [[Scalar(1), w], [w, Scalar(2)]]
+    R, pivots = rref(A)
+    assert pivots == [0, 1]
+    assert R == [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(1)]]
+    inv = mat_inverse(A)
+    assert any(v.b for row in inv for v in row)
+    assert mat_mul(inv, A) == [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(1)]]

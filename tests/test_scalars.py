@@ -66,3 +66,12 @@ def test_square_roundtrip(a, b):
     sq = x * x
     r = sq.sqrt_in_field(2)
     assert r is not None and r * r == sq
+
+
+def test_rational_scalar_hashes_as_its_number():
+    assert hash(Scalar(1)) == hash(1)
+    assert {Scalar(1): 0}.get(1) == 0
+    half = Fraction(1, 2)
+    assert Scalar(half) == half and hash(Scalar(half)) == hash(half)
+    assert {half: "h"}[Scalar(half)] == "h"
+    assert len({Scalar(2), 2, Fraction(2)}) == 1

@@ -3,10 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cremona.errors import BUDGET_EXCEEDED
 from cremona.linalg import mat_mul
+from cremona.unipoly import pmul
 from cremona.weyl import (
     BFS_BUDGET,
+    _intpoly_divmod,
     char_poly,
     cyclic_permutation,
     cyclotomic,
@@ -122,3 +126,58 @@ def test_poly_roots_refined():
 
 def test_budget_constant_sane():
     assert BFS_BUDGET >= 10 ** 5
+
+
+def _matrix_bfs_order(n):
+    """|W_n| by closing the set of products of simple reflection matrices."""
+    gens = [reflection_matrix(a) for a in simple_roots(n)]
+    ident = tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for M in frontier:
+            for g in gens:
+                P = tuple(tuple(r) for r in mat_mul([list(r) for r in M], g))
+                if P not in seen:
+                    seen.add(P)
+                    nxt.append(P)
+        frontier = nxt
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_chamber_orbit_order_matches_matrix_bfs(n):
+    assert group_order_bfs(n) == _matrix_bfs_order(n)
+
+
+def test_group_order_budget_on_infinite_group():
+    assert group_order_bfs(9, budget=2000) is BUDGET_EXCEEDED
+
+
+def _strip_every_d(p):
+    """strip_cyclotomic's reference: try every Phi_d with d <= 2 k^2, where
+    k is the input degree, whatever the degree of Phi_d."""
+    p = list(p)
+    removed = []
+    deg0 = len(p) - 1
+    for d in range(1, 2 * deg0 * deg0 + 1):
+        while len(p) > 1:
+            q = _intpoly_divmod(p, cyclotomic(d))
+            if q is None:
+                break
+            removed.append(d)
+            p = q
+    return p, removed
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), max_size=2), st.booleans())
+def test_strip_cyclotomic_matches_every_d_reference(ds, with_lehmer):
+    p = LEHMER if with_lehmer else [1]
+    for d in ds:
+        p = pmul(p, cyclotomic(d), zero=0)
+    residual, removed = strip_cyclotomic(p)
+    assert (residual, removed) == _strip_every_d(p)
+    assert removed == sorted(ds)
+    assert residual == (LEHMER if with_lehmer else [1])
