@@ -10,8 +10,10 @@ growth and orbit support CSV.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import ast
 import cmath
 import json
+import operator
 import sys
 
 from . import __version__, catalog, numerics
@@ -191,11 +193,39 @@ _EVAL_NAMES = {
 }
 
 
+_BINARY_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _eval_complex(node):
+    """Value of an expression tree of numbers, the constants and calls to the
+    functions of _EVAL_NAMES, unary +-, and + - * / **; DomainError on
+    anything else.  Ints become floats, so a power overflows rather than
+    building a huge int."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        return float(node.value) if type(node.value) is int else node.value
+    if isinstance(node, ast.Name) and node.id in _EVAL_NAMES \
+            and not callable(_EVAL_NAMES[node.id]):
+        return _EVAL_NAMES[node.id]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(_EVAL_NAMES.get(node.func.id)) and not node.keywords):
+        return _EVAL_NAMES[node.func.id](*[_eval_complex(a) for a in node.args])
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_eval_complex(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_eval_complex(node.left),
+                                          _eval_complex(node.right))
+    raise DomainError(f"not allowed in an expression: {ast.unparse(node)!r}")
+
+
 def _complex_expr(text):
     try:
-        return complex(eval(text.replace("^", "**"), {"__builtins__": {}},
-                            dict(_EVAL_NAMES)))
-    except Exception as exc:
+        tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+        return complex(_eval_complex(tree.body))
+    except (SyntaxError, ArithmeticError, TypeError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot evaluate {text!r}: {exc}")
 
 
@@ -257,8 +287,6 @@ def _cmd_noether(args):
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="cremona", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized helpers (reproducibility)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map-info", help="degree and basic data of a map")

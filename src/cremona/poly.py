@@ -2,12 +2,15 @@
 affine polynomials, with gcd, substitution, Jacobians and splitting of low
 degree forms into linear factors.
 
-Composition and gcd run on sympy Polys.  `compose_reduce` works over ZZ
-for maps over Q: both triples are scaled to integer coefficients and only
-their integer content is divided out.  Over Q(sqrt(d)) it works in sympy's
-algebraic field, with coefficients converted directly as lists [b, a] for
-b*sqrt(d) + a.  On both, the common factor and the reduced components come
-from gcd cofactors, without polynomial exact division.
+Over Q, composition and gcd run on sympy Polys.  `compose_reduce` works
+over ZZ: both triples are scaled to integer coefficients, only their integer
+content is divided out, and the common factor and the reduced components
+come from gcd cofactors, without polynomial exact division.  Over
+Q(sqrt(d)), `compose_reduce` scales both triples to coefficients
+A + B*sqrt(e) with A, B ints (sqrt(d) = sqrt(e)/m for d = n/m, e = n*m) and
+substitutes on those pairs; it, `reduce_triple` and `poly_gcd` take the
+common factor from the modular gcd of `pairpoly`, which is certified by
+trial division, and the quotients of that division are the components.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .errors import (
     InexactDivision,
     NOT_FULLY_SPLIT,
 )
+from .pairpoly import PairPoly, gcd_cofactors
 from .scalars import Scalar
 from .unipoly import padd, pdegree, pdivmod, pgcd, pmul, pstrip
 
@@ -65,6 +69,16 @@ class HomPoly:
         raise AttributeError("HomPoly is immutable")
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _clean(cls, terms, degree):
+        """A HomPoly on terms that are already clean: nonzero Scalar values
+        on int triples that all sum to degree.  Skips the checks of
+        `HomPoly(...)`, which every outside caller goes through."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "degree", degree)
+        return p
 
     @staticmethod
     def zero(degree=0):
@@ -406,7 +420,7 @@ def _from_sympy2(pol, field_d, degree):
         (i, j, degree - i - j): _dom_to_scalar(co, field_d)
         for (i, j), co in pol.as_dict(native=True).items()
     }
-    return HomPoly(terms, degree)
+    return HomPoly._clean(terms, degree)
 
 
 def _field_of(polys):
@@ -425,6 +439,8 @@ def reduce_triple(raws):
     raws = list(raws)
     nonzero = [p for p in raws if not p.is_zero()]
     field_d = _field_of(nonzero)
+    if field_d:
+        return _reduce_triple_pairs(raws, nonzero, field_d)
     pols = [_to_sympy(p, field_d) for p in nonzero]
     g = pols[0]
     for pol in pols[1:]:
@@ -443,6 +459,101 @@ def reduce_triple(raws):
         else:
             out.append(_from_sympy(next(it).exquo(gmon), field_d))
     return out, ghom
+
+
+# -- Q(sqrt(d)) on int pairs ----------------------------------------------
+
+def _sqrt_basis(field_d):
+    """(e, m) with sqrt(field_d) = sqrt(e) / m: e = n*m for field_d = n/m."""
+    m = field_d.denominator
+    return field_d.numerator * m, m
+
+
+def _pair_scale(polys, m):
+    """A common denominator of a and b/m over every coefficient
+    a + b*sqrt(d) = a + (b/m)*sqrt(e) of the polys."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            den = math.lcm(den, c.a.denominator, c.b.denominator * m)
+    return den
+
+
+def _pair_terms(p, m, den, keys=lambda e: e[:2]):
+    """Terms of den * p as int pairs (A, B) for A + B*sqrt(e), keyed by
+    keys(exponent triple): by default the z = 1 chart (i, j)."""
+    return {
+        keys(e): (c.a.numerator * (den // c.a.denominator),
+                  c.b.numerator * (den // (c.b.denominator * m)))
+        for e, c in p.terms.items()
+    }
+
+
+def _pairs_to_hom(terms, den, field_d, m, degree):
+    """HomPoly of the given degree from z = 1 pair terms standing for
+    (A + B*sqrt(e)) / den = A/den + (B*m/den)*sqrt(d)."""
+    return HomPoly._clean({
+        (i, j, degree - i - j): Scalar(Fraction(a, den), Fraction(b * m, den), field_d)
+        for (i, j), (a, b) in terms.items()
+    }, degree)
+
+
+def _total_degree(terms):
+    return max(i + j for i, j in terms)
+
+
+def _reduce_triple_pairs(raws, nonzero, field_d):
+    """reduce_triple over Q(sqrt(d)): the gcd of the z = 1 charts times the
+    least power of z in the triple."""
+    e, m = _sqrt_basis(field_d)
+    den = _pair_scale(nonzero, m)
+    (g, gden), quotients = gcd_cofactors([_pair_terms(p, m, den) for p in nonzero], e)
+    gdeg = _total_degree(g) + min(p.min_exponent(2) for p in nonzero)
+    if gdeg == 0:
+        return raws, None
+    it = iter(quotients)
+    out = []
+    for p in raws:
+        if p.is_zero():
+            out.append(HomPoly.zero(nonzero[0].degree - gdeg))
+        else:
+            q, s = next(it)
+            out.append(_pairs_to_hom(q, s * den, field_d, m, p.degree - gdeg))
+    return out, _pairs_to_hom(g, gden, field_d, m, gdeg)
+
+
+def _compose_pairs(fcomps, gcomps, field_d, df, bigdeg):
+    """compose_reduce over Q(sqrt(d)), on int pairs (see `pairpoly`)."""
+    e, m = _sqrt_basis(field_d)
+    sf = _pair_scale(fcomps, m)
+    sg = _pair_scale(gcomps, m)
+    fterms = [_pair_terms(p, m, sf, keys=tuple) for p in fcomps]
+    gs = [PairPoly(_pair_terms(p, m, sg), e) for p in gcomps]
+    hs = _substitute2(fterms, gs, PairPoly({(0, 0): (1, 0)}, e), PairPoly({}, e))
+    nonzero = [h.terms for h in hs if h.terms]
+    if not nonzero:
+        return [HomPoly.zero(0)] * 3, None
+    scale = sf * sg ** df  # each h is scale * f_i(g)
+    zpow = bigdeg - max(_total_degree(h) for h in nonzero)
+    (g, gden), quotients = gcd_cofactors(nonzero, e)
+    gdeg = _total_degree(g)
+    if gdeg == 0 and zpow == 0:
+        newdeg, ghom = bigdeg, None
+    else:
+        newdeg = bigdeg - zpow - gdeg
+        ghom = _pairs_to_hom(g, gden, field_d, m, zpow + gdeg)
+    if len(nonzero) == 1 and gdeg:  # a lone component is its own gcd, as over ZZ
+        quotients = [({(0, 0): (1, 0)}, 1)]
+        scale = 1
+    it = iter(quotients)
+    comps = []
+    for h in hs:
+        if h.terms:
+            q, s = next(it)
+            comps.append(_pairs_to_hom(q, s * scale, field_d, m, newdeg))
+        else:
+            comps.append(HomPoly.zero(newdeg))
+    return comps, ghom
 
 
 def _integer_terms(triple):
@@ -484,12 +595,12 @@ def _substitute2(fterms, gs, one, zero):
 
 
 def _common_factor(hs, one):
-    """gcd g of nonzero Polys and the quotients h / monic(g).
+    """gcd g of nonzero Polys over ZZ and the quotients h / monic(g).
 
     The quotients come from gcd cofactors rather than exact division: the
     cofactors of (g, h) give the new gcd, h's cofactor, and the factor by
     which the earlier cofactors grow when the gcd shrinks.  h / monic(g) is
-    lc(g) * (h / g); over a field sympy's gcd is already monic.
+    lc(g) * (h / g).
     """
     g = hs[0]
     cofs = []
@@ -517,42 +628,37 @@ def compose_reduce(fcomps, gcomps):
     Works in the affine chart z = 1 (everything is homogeneous, so the
     bivariate computation plus degree bookkeeping loses nothing) for a
     much smaller dense representation.  Over Q both triples are scaled to
-    integer coefficients and composed as sympy Polys over ZZ, and the joint
-    integer content is divided out.  Over Q(sqrt(d)) the triples are Polys
-    over sympy's algebraic field, converted coefficient by coefficient as
-    [b, a] lists.  On both domains the common factor and the reduced
-    components come from gcd cofactors, with no polynomial exact division,
-    and the components are h / g for the gcd g made monic in sympy's order.
+    integer coefficients and composed as sympy Polys over ZZ, the joint
+    integer content is divided out, and the common factor and the reduced
+    components come from gcd cofactors, with no polynomial exact division.
+    Over Q(sqrt(d)) both triples are scaled to int pairs A + B*sqrt(e) and
+    composed on those, and the common factor and the quotients come from
+    the certified modular gcd of `pairpoly`.  On both, the components are
+    h / g for the gcd g made monic in lex order with x > y.
     """
     if all(len(p.terms) == 1 for p in fcomps) and \
             all(len(p.terms) == 1 for p in gcomps):
         return _compose_monomials(fcomps, gcomps)
-    sp, _syms = _sympy_ctx()
     field_d = _field_of(list(fcomps) + list(gcomps))
     dg = next(p.degree for p in gcomps if not p.is_zero())
     df = next(p.degree for p in fcomps if not p.is_zero())
     bigdeg = df * dg
     if field_d:
-        dom = _field_domain(field_d)
-        fterms = [_dom_terms(p, dom) for p in fcomps]
-        gterms = [_dom_terms(p, dom) for p in gcomps]
-    else:
-        dom = sp.ZZ
-        fterms = _integer_terms(fcomps)
-        gterms = _integer_terms(gcomps)
-    gs = [_poly2(terms, dom) for terms in gterms]
+        return _compose_pairs(fcomps, gcomps, field_d, df, bigdeg)
+    sp, _syms = _sympy_ctx()
+    dom = sp.ZZ
+    gs = [_poly2(terms, dom) for terms in _integer_terms(gcomps)]
     one = sp.Poly.from_dict({(0, 0): dom.one}, *_syms2(), domain=dom)
     zero = sp.Poly.from_dict({}, *_syms2(), domain=dom)
-    hs = _substitute2(fterms, gs, one, zero)
+    hs = _substitute2(_integer_terms(fcomps), gs, one, zero)
     nonzero = [h for h in hs if not h.is_zero]
     if not nonzero:
         return [HomPoly.zero(0)] * 3, None
-    if not field_d:
-        content = 0
-        for h in nonzero:
-            content = math.gcd(content, int(h.content()))
-        if content > 1:
-            nonzero = [h.exquo_ground(content) for h in nonzero]
+    content = 0
+    for h in nonzero:
+        content = math.gcd(content, int(h.content()))
+    if content > 1:
+        nonzero = [h.exquo_ground(content) for h in nonzero]
     # common z-power: bigdeg minus the top bivariate degree present
     zpow = bigdeg - max(h.total_degree() for h in nonzero)
     g, quotients = _common_factor(nonzero, one)
@@ -561,9 +667,9 @@ def compose_reduce(fcomps, gcomps):
         newdeg, ghom = bigdeg, None
     else:
         newdeg = bigdeg - zpow - gdeg
-        ghom = _from_sympy2(g, field_d, zpow + gdeg).monic()
+        ghom = _from_sympy2(g, 0, zpow + gdeg).monic()
     it = iter(quotients)
-    comps = [HomPoly.zero(newdeg) if h.is_zero else _from_sympy2(next(it), field_d, newdeg)
+    comps = [HomPoly.zero(newdeg) if h.is_zero else _from_sympy2(next(it), 0, newdeg)
              for h in hs]
     return comps, ghom
 
@@ -607,6 +713,12 @@ def poly_gcd(p, q):
     if q.is_zero():
         return p.monic()
     field_d = p.field_disc() or q.field_disc()
+    if field_d:
+        e, m = _sqrt_basis(field_d)
+        den = _pair_scale((p, q), m)
+        (g, gden), _ = gcd_cofactors([_pair_terms(p, m, den), _pair_terms(q, m, den)], e)
+        zmin = min(p.min_exponent(2), q.min_exponent(2))
+        return _pairs_to_hom(g, gden, field_d, m, _total_degree(g) + zmin)
     g = _to_sympy(p, field_d).gcd(_to_sympy(q, field_d))
     return _from_sympy(g, field_d).monic()
 

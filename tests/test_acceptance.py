@@ -87,11 +87,9 @@ def test_criterion_01_involutions():
 def _random_linear(rng):
     while True:
         M = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-        try:
-            Minv = mat_inverse(M)
-        except Exception:
-            continue
-        return M, Minv
+        Minv = mat_inverse(M)
+        if Minv is not None:
+            return M, Minv
 
 
 def test_criterion_02_quadratic_strata():

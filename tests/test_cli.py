@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cremona.cli import main
+from cremona.cli import DomainError, _complex_expr, main
 from cremona.ratmap import parse_ratmap
 
 
@@ -104,3 +104,30 @@ def test_orbit_csv(tmp_path, capsys):
 def test_weyl_group_order(capsys):
     code, data = run_json(capsys, "weyl", "--n", "6", "--standard", "--order")
     assert code == 0 and data["group_order"] == 51840
+
+
+def test_complex_expr_arithmetic():
+    assert _complex_expr("1e-4*i") == 1e-4j
+    assert _complex_expr("-2^3 + sqrt(-1)") == complex(-8, 1)
+    assert _complex_expr("+exp(i*pi) / 2") == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("text", [
+    "().__class__", "__import__('os')", "exp.__class__", "sqrt(x=1)",
+    "[1, 2]", "x", "exp", "1 if 1 else 2", "9**9**9", "1/0", "-" * 5000 + "1",
+])
+def test_complex_expr_rejects_all_but_arithmetic(text):
+    with pytest.raises(DomainError):
+        _complex_expr(text)
+
+
+def test_orbit_rejects_attribute_access(capsys):
+    code, _ = run(capsys, "orbit", "--family", "fab", "--alpha", "().__class__",
+                  "--beta", "1", "--seed", "0,0", "--n", "2")
+    assert code == 1
+
+
+def test_no_top_level_seed():
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "3", "noether", "--nu", "2"])
+    assert exc.value.code == 2

@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from cremona.errors import IncompatibleField
 from cremona.scalars import Scalar
 
-rationals = st.fractions(
-    min_value=-100, max_value=100,
-).filter(lambda q: abs(q.denominator) <= 50)
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
 
 def s2(a, b):
