@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     BUDGET_EXCEEDED,
-    FIELD_OBSTRUCTION,
     NOT_AUTOMORPHISM,
     NOT_CONTRACTED,
     NOT_FOUND,

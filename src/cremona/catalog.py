@@ -21,14 +21,13 @@ from .errors import (
     PoleAtParameter,
 )
 from .linalg import charpoly_int, det, mat_mul
-from .poly import HomPoly, LinearForm, divide_exact, substitute
+from .poly import HomPoly, LinearForm, divide_exact, parse_poly, substitute
 from .ratmap import (
     ProjPoint,
     RatMap,
     compose,
     inverse,
     is_contracted_line,
-    parse_ratmap,
     quadratic_classify,
 )
 from .scalars import Scalar
@@ -36,21 +35,27 @@ from .weyl import _intpoly_divmod, poly_roots_numeric
 
 # -- named quadratic and cubic maps ---------------------------------------
 
-SIGMA = parse_ratmap("y*z : x*z : x*y")
-RHO = parse_ratmap("x*y : z^2 : y*z")
-TAU = parse_ratmap("x^2 : x*y : y^2 - x*z")
+def _coprime(text):
+    """The map of a coprime triple `f0 : f1 : f2`, built without a gcd
+    (`tests/test_catalog.py` checks that each one is coprime)."""
+    return RatMap(tuple(parse_poly(p) for p in text.split(":")))
 
-PSI = parse_ratmap("y^2*z : x^2*z + x*y^2 : x*y*z + y^3")
-PSI_INVERSE = parse_ratmap("y*z^2 - x*y^2 : z^3 - x*y*z : x*z^2")
 
-ETA = parse_ratmap("y : x : z")
-E_INVOLUTION = parse_ratmap("x*y : x*z : y*z")
-GIZATULLIN_H = parse_ratmap("x : x - y : x - z")
+SIGMA = _coprime("y*z : x*z : x*y")
+RHO = _coprime("x*y : z^2 : y*z")
+TAU = _coprime("x^2 : x*y : y^2 - x*z")
+
+PSI = _coprime("y^2*z : x^2*z + x*y^2 : x*y*z + y^3")
+PSI_INVERSE = _coprime("y*z^2 - x*y^2 : z^3 - x*y*z : x*z^2")
+
+ETA = _coprime("y : x : z")
+E_INVOLUTION = _coprime("x*y : x*z : y*z")
+GIZATULLIN_H = _coprime("x : x - y : x - z")
 
 CUBIC_TABLE = (
-    parse_ratmap("x*z^2 + y^3 : y*z^2 : z^3"),
-    parse_ratmap("x^3 : y^2*z : x*y*z"),
-    parse_ratmap("x^2*z + x*y*z : x*y*z + y^2*z : x*y^2"),
+    _coprime("x*z^2 + y^3 : y*z^2 : z^3"),
+    _coprime("x^3 : y^2*z : x*y*z"),
+    _coprime("x^2*z + x*y*z : x*y*z + y^2*z : x*y^2"),
 )
 
 M_SIGMA = [

@@ -84,4 +84,3 @@ NOT_CONTRACTED = _Sentinel("NotContracted")
 NOT_FULLY_SPLIT = _Sentinel("NotFullySplit")
 NOT_AUTOMORPHISM = _Sentinel("NotAutomorphism")
 BUDGET_EXCEEDED = _Sentinel("BudgetExceeded")
-FIELD_OBSTRUCTION = _Sentinel("FieldObstruction")

@@ -2,19 +2,23 @@
 affine polynomials, with gcd, substitution, Jacobians and splitting of low
 degree forms into linear factors.
 
-Over Q, composition and gcd run on sympy Polys.  `compose_reduce` works
-over ZZ: both triples are scaled to integer coefficients, only their integer
-content is divided out, and the common factor and the reduced components
-come from gcd cofactors, without polynomial exact division.  Over
-Q(sqrt(d)), `compose_reduce` scales both triples to coefficients
-A + B*sqrt(e) with A, B ints (sqrt(d) = sqrt(e)/m for d = n/m, e = n*m) and
-substitutes on those pairs; it, `reduce_triple` and `poly_gcd` take the
-common factor from the modular gcd of `pairpoly`, which is certified by
-trial division, and the quotients of that division are the components.
+Composition and gcd work in the affine chart z = 1.  Over Q, triples are
+scaled to integer coefficients and become sympy Polys over ZZ in (x, y), the
+only use of sympy, imported on first use: `compose_reduce` divides out their
+integer content only, and it, `reduce_triple` and `poly_gcd` take the common
+factor and the reduced components from gcd cofactors, without polynomial
+exact division.  Over Q(sqrt(d)), triples are scaled to coefficients
+A + B*sqrt(e) with A, B ints (sqrt(d) = sqrt(e)/m for d = n/m, e = n*m);
+`compose_reduce` substitutes on those pairs, and the common factor comes
+from the modular gcd of `pairpoly`, which is certified by trial division,
+whose quotients are the components.  `parse_poly` reads the input grammar
+with `ast` and evaluates it without Python's `eval`.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
 from fractions import Fraction
 
@@ -299,128 +303,67 @@ def divide_exact(p, q):
     return quot
 
 
-# -- sympy bridge: conversion, gcd and composition ------------------------
+# -- the integer chart: sympy Polys over ZZ in (x, y) at z = 1 -------------
 
-_sympy_cache = {}
+@functools.cache
+def _zz():
+    """sympy's Poly, ZZ and the symbols x, y, imported on first use."""
+    import sympy
 
-
-def _sympy_ctx():
-    """Lazy sympy import plus the symbol triple, cached."""
-    if "sp" not in _sympy_cache:
-        import sympy
-
-        _sympy_cache["sp"] = sympy
-        _sympy_cache["syms"] = sympy.symbols("x y z")
-    return _sympy_cache["sp"], _sympy_cache["syms"]
+    return sympy.Poly, sympy.ZZ, sympy.symbols("x y")
 
 
-def _syms2():
-    return _sympy_ctx()[1][:2]
+def _poly2(terms):
+    """Dehomogenized (z = 1) Poly over ZZ of a dict of int coefficients on
+    exponent triples."""
+    Poly, ZZ, gens = _zz()
+    return Poly.from_dict({(i, j): c for (i, j, _k), c in terms.items()}, *gens, domain=ZZ)
 
 
-def _field_domain(field_d):
-    """Sympy domain of Q(sqrt(field_d)): QQ when field_d is 0.
-
-    Field elements are built and read as coefficient lists [b, a] standing
-    for b*sqrt(d) + a.  That holds only when sympy generates the field by
-    sqrt(d) itself, which is checked once per field.
-    """
-    sp, _syms = _sympy_ctx()
-    key = ("dom", field_d)
-    if key not in _sympy_cache:
-        if field_d:
-            sd = sp.sqrt(sp.Rational(field_d.numerator, field_d.denominator))
-            dom = sp.QQ.algebraic_field(sd)
-            if dom.to_sympy(dom([sp.QQ(1), sp.QQ(0)])) != sd:
-                raise IncompatibleField(
-                    f"sympy generates Q(sqrt({field_d})) by {dom.ext}, "
-                    f"not by sqrt({field_d})"
-                )
-            _sympy_cache[key] = dom
-        else:
-            _sympy_cache[key] = sp.QQ
-    return _sympy_cache[key]
-
-
-def _expr_to_scalar(sp, co, sd, field_d):
-    """Sympy coefficient (rational, or a + b*sqrt(d)) to Scalar."""
-    if sd is not None:
-        ce = sp.expand(co)
-        b_expr = ce.coeff(sd)
-        a_rat = sp.Rational(sp.expand(ce - b_expr * sd))
-        b_rat = sp.Rational(b_expr)
-        return Scalar(
-            Fraction(int(a_rat.p), int(a_rat.q)),
-            Fraction(int(b_rat.p), int(b_rat.q)),
-            field_d,
-        )
-    r = sp.Rational(co)
-    return Scalar(Fraction(int(r.p), int(r.q)))
-
-
-def _scalar_to_dom(dom, co):
-    """Scalar to an element of QQ or of Q(sqrt(d)) (as the list [b, a])."""
-    sp, _syms = _sympy_ctx()
-    a = sp.QQ(co.a.numerator, co.a.denominator)
-    if dom is sp.QQ:
-        return a
-    return dom([sp.QQ(co.b.numerator, co.b.denominator), a])
-
-
-def _dom_to_scalar(co, field_d):
-    """Element of ZZ, QQ or Q(sqrt(field_d)) to Scalar."""
-    if not field_d:
-        return Scalar(Fraction(co.numerator, co.denominator))
-    ab = co.to_list()
-    a = ab[-1] if ab else 0
-    b = ab[-2] if len(ab) > 1 else 0
-    return Scalar(
-        Fraction(a.numerator, a.denominator),
-        Fraction(b.numerator, b.denominator),
-        field_d,
-    )
-
-
-def _dom_terms(p, dom):
-    """Term dict of a HomPoly with coefficients in the sympy domain dom."""
-    return {e: _scalar_to_dom(dom, c) for e, c in p.terms.items()}
-
-
-def _to_sympy(p, field_d):
-    sp, syms = _sympy_ctx()
-    dom = _field_domain(field_d)
-    return sp.Poly.from_dict(_dom_terms(p, dom), *syms, domain=dom)
-
-
-def _from_sympy(pol, field_d):
+def _from_sympy2(pol, degree, den=1):
+    """Rehomogenize a Poly over ZZ, divided by den, to a HomPoly of the
+    given degree."""
     terms = {
-        tuple(mono): _dom_to_scalar(co, field_d)
-        for mono, co in pol.as_dict(native=True).items()
-    }
-    deg = max((sum(e) for e in terms), default=0)
-    return HomPoly(terms, deg)
-
-
-def _poly2(terms, dom):
-    """Dehomogenized (z = 1) sympy Poly in (x, y) of a term dict over dom."""
-    sp, _ = _sympy_ctx()
-    d = {(i, j): co for (i, j, _k), co in terms.items()}
-    return sp.Poly.from_dict(d, *_syms2(), domain=dom)
-
-
-def _to_sympy2(p, field_d):
-    """Dehomogenized (z = 1) sympy Poly in (x, y)."""
-    dom = _field_domain(field_d)
-    return _poly2(_dom_terms(p, dom), dom)
-
-
-def _from_sympy2(pol, field_d, degree):
-    """Rehomogenize a bivariate sympy Poly to a HomPoly of the given degree."""
-    terms = {
-        (i, j, degree - i - j): _dom_to_scalar(co, field_d)
+        (i, j, degree - i - j): Scalar(Fraction(co, den))
         for (i, j), co in pol.as_dict(native=True).items()
     }
     return HomPoly._clean(terms, degree)
+
+
+def _integer_terms(polys):
+    """(den, term dicts of den * p for each p): den is the lcm of all the
+    denominators of the rational polys."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            den = math.lcm(den, c.a.denominator)
+    return den, [
+        {e: c.a.numerator * (den // c.a.denominator) for e, c in p.terms.items()}
+        for p in polys
+    ]
+
+
+def _common_factor(hs, one):
+    """gcd g of nonzero Polys over ZZ and the quotients h / monic(g).
+
+    The quotients come from gcd cofactors rather than exact division: the
+    cofactors of (g, h) give the new gcd, h's cofactor, and the factor by
+    which the earlier cofactors grow when the gcd shrinks.  h / monic(g) is
+    lc(g) * (h / g).
+    """
+    g = hs[0]
+    cofs = [one]
+    for h in hs[1:]:
+        if g.is_ground:
+            break
+        g, shrink, cof = g.cofactors(h)
+        if not shrink.is_one:
+            cofs = [c * shrink for c in cofs]
+        cofs.append(cof)
+    if g.is_ground:
+        return g, hs
+    lead = g.LC()
+    return g, [c.mul_ground(lead) for c in cofs]
 
 
 def _field_of(polys):
@@ -438,27 +381,55 @@ def reduce_triple(raws):
     """
     raws = list(raws)
     nonzero = [p for p in raws if not p.is_zero()]
+    g, quotients = _chart_gcd(nonzero)
+    if g is None:
+        return raws, None
+    it = iter(quotients)
+    return [HomPoly.zero(nonzero[0].degree - g.degree) if p.is_zero() else next(it)
+            for p in raws], g
+
+
+def poly_gcd(p, q):
+    """Monic greatest common divisor of two homogeneous ternary forms."""
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd of two zero polynomials")
+    if p.is_zero():
+        return q.monic()
+    if q.is_zero():
+        return p.monic()
+    g, _ = _chart_gcd([p, q])
+    return HomPoly.constant(1) if g is None else g
+
+
+def _chart_gcd(nonzero):
+    """(g, [p / g for each p]) for nonzero forms with the monic gcd g, or
+    (None, the forms) when g is 1.
+
+    g is the gcd of the z = 1 charts times the least power of z in the
+    forms.  Over Q it comes from gcd cofactors over ZZ, as in
+    `compose_reduce`, over Q(sqrt(d)) from the modular gcd of `pairpoly`;
+    either way the scale that made the coefficients integral is undone on
+    the quotients.
+    """
+    zmin = min(p.min_exponent(2) for p in nonzero)
     field_d = _field_of(nonzero)
     if field_d:
-        return _reduce_triple_pairs(raws, nonzero, field_d)
-    pols = [_to_sympy(p, field_d) for p in nonzero]
-    g = pols[0]
-    for pol in pols[1:]:
-        if g.is_ground:
-            break
-        g = g.gcd(pol)
-    if g.is_ground:
-        return raws, None
-    ghom = _from_sympy(g, field_d).monic()
-    gmon = _to_sympy(ghom, field_d)
-    out = []
-    it = iter(pols)
-    for p in raws:
-        if p.is_zero():
-            out.append(HomPoly.zero(nonzero[0].degree - ghom.degree))
-        else:
-            out.append(_from_sympy(next(it).exquo(gmon), field_d))
-    return out, ghom
+        e, m = _sqrt_basis(field_d)
+        den = _pair_scale(nonzero, m)
+        (g, gden), quotients = gcd_cofactors([_pair_terms(p, m, den) for p in nonzero], e)
+        gdeg = _total_degree(g) + zmin
+        if not gdeg:
+            return None, nonzero
+        return _pairs_to_hom(g, gden, field_d, m, gdeg), [
+            _pairs_to_hom(q, s * den, field_d, m, p.degree - gdeg)
+            for (q, s), p in zip(quotients, nonzero)]
+    den, terms = _integer_terms(nonzero)
+    g, quotients = _common_factor([_poly2(t) for t in terms], _poly2({(0, 0, 0): 1}))
+    gdeg = g.total_degree() + zmin
+    if not gdeg:
+        return None, nonzero
+    return _from_sympy2(g, gdeg).monic(), [
+        _from_sympy2(q, p.degree - gdeg, den) for q, p in zip(quotients, nonzero)]
 
 
 # -- Q(sqrt(d)) on int pairs ----------------------------------------------
@@ -502,26 +473,6 @@ def _total_degree(terms):
     return max(i + j for i, j in terms)
 
 
-def _reduce_triple_pairs(raws, nonzero, field_d):
-    """reduce_triple over Q(sqrt(d)): the gcd of the z = 1 charts times the
-    least power of z in the triple."""
-    e, m = _sqrt_basis(field_d)
-    den = _pair_scale(nonzero, m)
-    (g, gden), quotients = gcd_cofactors([_pair_terms(p, m, den) for p in nonzero], e)
-    gdeg = _total_degree(g) + min(p.min_exponent(2) for p in nonzero)
-    if gdeg == 0:
-        return raws, None
-    it = iter(quotients)
-    out = []
-    for p in raws:
-        if p.is_zero():
-            out.append(HomPoly.zero(nonzero[0].degree - gdeg))
-        else:
-            q, s = next(it)
-            out.append(_pairs_to_hom(q, s * den, field_d, m, p.degree - gdeg))
-    return out, _pairs_to_hom(g, gden, field_d, m, gdeg)
-
-
 def _compose_pairs(fcomps, gcomps, field_d, df, bigdeg):
     """compose_reduce over Q(sqrt(d)), on int pairs (see `pairpoly`)."""
     e, m = _sqrt_basis(field_d)
@@ -556,19 +507,6 @@ def _compose_pairs(fcomps, gcomps, field_d, df, bigdeg):
     return comps, ghom
 
 
-def _integer_terms(triple):
-    """Term dicts of a rational triple with integer coefficients, scaled
-    jointly by the lcm of all its denominators."""
-    den = 1
-    for p in triple:
-        for c in p.terms.values():
-            den = math.lcm(den, c.a.denominator)
-    return [
-        {e: c.a.numerator * (den // c.a.denominator) for e, c in p.terms.items()}
-        for p in triple
-    ]
-
-
 def _substitute2(fterms, gs, one, zero):
     """Dehomogenized f(g0, g1, g2) for each term dict of fterms.
 
@@ -592,33 +530,6 @@ def _substitute2(fterms, gs, one, zero):
             acc = acc + monomial(e).mul_ground(c)
         hs.append(acc)
     return hs
-
-
-def _common_factor(hs, one):
-    """gcd g of nonzero Polys over ZZ and the quotients h / monic(g).
-
-    The quotients come from gcd cofactors rather than exact division: the
-    cofactors of (g, h) give the new gcd, h's cofactor, and the factor by
-    which the earlier cofactors grow when the gcd shrinks.  h / monic(g) is
-    lc(g) * (h / g).
-    """
-    g = hs[0]
-    cofs = []
-    for h in hs[1:]:
-        if g.is_ground:
-            break
-        g, shrink, cof = g.cofactors(h)
-        if not cofs:
-            cofs = [shrink]
-        elif not shrink.is_one:
-            cofs = [c * shrink for c in cofs]
-        cofs.append(cof)
-    if g.is_ground:
-        return g, hs
-    if not cofs:  # a single nonzero component is its own gcd
-        return g, [one]
-    lead = g.LC()
-    return g, [c.mul_ground(lead) for c in cofs]
 
 
 def compose_reduce(fcomps, gcomps):
@@ -645,12 +556,9 @@ def compose_reduce(fcomps, gcomps):
     bigdeg = df * dg
     if field_d:
         return _compose_pairs(fcomps, gcomps, field_d, df, bigdeg)
-    sp, _syms = _sympy_ctx()
-    dom = sp.ZZ
-    gs = [_poly2(terms, dom) for terms in _integer_terms(gcomps)]
-    one = sp.Poly.from_dict({(0, 0): dom.one}, *_syms2(), domain=dom)
-    zero = sp.Poly.from_dict({}, *_syms2(), domain=dom)
-    hs = _substitute2(_integer_terms(fcomps), gs, one, zero)
+    gs = [_poly2(t) for t in _integer_terms(gcomps)[1]]
+    one, zero = _poly2({(0, 0, 0): 1}), _poly2({})
+    hs = _substitute2(_integer_terms(fcomps)[1], gs, one, zero)
     nonzero = [h for h in hs if not h.is_zero]
     if not nonzero:
         return [HomPoly.zero(0)] * 3, None
@@ -667,9 +575,11 @@ def compose_reduce(fcomps, gcomps):
         newdeg, ghom = bigdeg, None
     else:
         newdeg = bigdeg - zpow - gdeg
-        ghom = _from_sympy2(g, 0, zpow + gdeg).monic()
+        ghom = _from_sympy2(g, zpow + gdeg).monic()
+    if len(nonzero) == 1 and gdeg:  # a lone component is its own gcd
+        quotients = [one]
     it = iter(quotients)
-    comps = [HomPoly.zero(newdeg) if h.is_zero else _from_sympy2(next(it), 0, newdeg)
+    comps = [HomPoly.zero(newdeg) if h.is_zero else _from_sympy2(next(it), newdeg)
              for h in hs]
     return comps, ghom
 
@@ -702,25 +612,6 @@ def _compose_monomials(fcomps, gcomps):
         for e, c in out
     ]
     return comps, HomPoly.monomial(SONE, mins)
-
-
-def poly_gcd(p, q):
-    """Monic greatest common divisor of two homogeneous ternary forms."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    field_d = p.field_disc() or q.field_disc()
-    if field_d:
-        e, m = _sqrt_basis(field_d)
-        den = _pair_scale((p, q), m)
-        (g, gden), _ = gcd_cofactors([_pair_terms(p, m, den), _pair_terms(q, m, den)], e)
-        zmin = min(p.min_exponent(2), q.min_exponent(2))
-        return _pairs_to_hom(g, gden, field_d, m, _total_degree(g) + zmin)
-    g = _to_sympy(p, field_d).gcd(_to_sympy(q, field_d))
-    return _from_sympy(g, field_d).monic()
 
 
 # -- linear forms and line factorization ----------------------------------
@@ -1222,45 +1113,163 @@ class BiPoly:
 
 
 # -- parsing --------------------------------------------------------------
+#
+# parse_poly evaluates a whitelisted `ast` tree, never Python.  While it
+# runs, a polynomial is a dict {(i, j, k, s): c} standing for the sum of
+# c * sqrt(s) * x^i y^j z^k, with c a Fraction and s a squarefree int
+# (sqrt(-1) = I), so that one radical spelled two ways (I*sqrt(3),
+# sqrt(-3), sqrt(-12)/2) is one key.
+
+_UNIT = (0, 0, 0, 1)
+_SQUARE_SEARCH = 2 ** 15
+_PARSE_NAMES = {
+    "x": {(1, 0, 0, 1): Fraction(1)},
+    "y": {(0, 1, 0, 1): Fraction(1)},
+    "z": {(0, 0, 1, 1): Fraction(1)},
+    "I": {(0, 0, 0, -1): Fraction(1)},
+}
+
+
+def _p_add(u, v):
+    out = dict(u)
+    for key, c in v.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _p_neg(u):
+    return {key: -c for key, c in u.items()}
+
+
+def _p_mul(u, v):
+    out = {}
+    for (i, j, k, s), a in u.items():
+        for (i2, j2, k2, t), b in v.items():
+            # sqrt(s) sqrt(t) = g sqrt(s t / g^2), and -g when both are imaginary
+            g = math.gcd(s, t)
+            key = (i + i2, j + j2, k + k2, s * t // (g * g))
+            c = a * b * g
+            out[key] = out.get(key, 0) + (c if s > 0 or t > 0 else -c)
+    return {key: c for key, c in out.items() if c}
+
+
+def _p_pow(u, n):
+    out = {_UNIT: Fraction(1)}
+    for bit in bin(n)[2:]:
+        out = _p_mul(out, out)
+        if bit == "1":
+            out = _p_mul(out, u)
+    return out
+
+
+def _p_div(u, v):
+    """u / v for a nonzero constant v = a + b sqrt(s)."""
+    if any(key[:3] != (0, 0, 0) for key in v):
+        raise ValueError("division by a polynomial that is not constant")
+    if not v:
+        raise ValueError("division by zero")
+    rads = {key[3] for key in v} - {1}
+    if len(rads) > 1:
+        raise IncompatibleField("division by a sum of two radicals")
+    s = rads.pop() if rads else 1
+    a = v.get(_UNIT, 0)
+    b = v.get((0, 0, 0, s), 0) if s != 1 else 0
+    norm = a * a - b * b * s
+    return _p_mul(u, {key: c for key, c in ((_UNIT, a / norm), ((0, 0, 0, s), -b / norm)) if c})
+
+
+def _p_sqrt(u):
+    """sqrt(q) for a constant rational u = q, as (k / den) sqrt(s): the
+    square factors i^2 with i < _SQUARE_SEARCH come out, and so does a
+    remainder that is a square."""
+    if any(key != _UNIT for key in u):
+        raise ValueError("sqrt of something other than a rational number")
+    q = u.get(_UNIT, Fraction(0))
+    if not q:
+        return {}
+    n = abs(q.numerator) * q.denominator  # sqrt(n/den^2) = sqrt(q)
+    k, i = 1, 2
+    while i < _SQUARE_SEARCH and i * i <= n:
+        while n % (i * i) == 0:
+            n //= i * i
+            k *= i
+        i += 1
+    r = math.isqrt(n)
+    if r * r == n:
+        k, n = k * r, 1
+    return {(0, 0, 0, -n if q < 0 else n): Fraction(k, q.denominator)}
+
+
+_CHAIN_OPS = {
+    ast.Add: _p_add,
+    ast.Sub: lambda u, v: _p_add(u, _p_neg(v)),
+    ast.Mult: _p_mul,
+    ast.Div: _p_div,
+}
+
+
+def _eval_poly(node, names, src):
+    """Value of a tree of numbers, the names, sqrt(rational), unary +-,
+    + - * / and powers by int literals; ValueError on anything else.
+
+    The left spine of + - * / is walked in a loop, so a long sum stays
+    within the recursion limit."""
+    chain = []
+    while isinstance(node, ast.BinOp) and type(node.op) in _CHAIN_OPS:
+        chain.append(node)
+        node = node.left
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # a decimal is read from its digits, not from the float
+        v = Fraction(node.value if type(node.value) is int
+                     else ast.get_source_segment(src, node))
+        acc = {_UNIT: v} if v else {}
+    elif isinstance(node, ast.Name) and node.id in names:
+        acc = names[node.id]
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        acc = _eval_poly(node.operand, names, src)
+        if isinstance(node.op, ast.USub):
+            acc = _p_neg(acc)
+    elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant)
+            and type(node.right.value) is int and node.right.value >= 0):
+        acc = _p_pow(_eval_poly(node.left, names, src), node.right.value)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sqrt" and len(node.args) == 1 and not node.keywords):
+        acc = _p_sqrt(_eval_poly(node.args[0], names, src))
+    else:
+        raise ValueError(f"not allowed in a polynomial: {ast.unparse(node)!r}")
+    for op_node in reversed(chain):
+        acc = _CHAIN_OPS[type(op_node.op)](acc, _eval_poly(op_node.right, names, src))
+    return acc
+
 
 def parse_poly(text, cls="hom"):
-    """Parse polynomial input: `3*x^2*y - 1/2*z^3`, parentheses and `**` ok.
+    """Parse polynomial input such as `3*x^2*y - 1/2*z^3 + sqrt(-3)*x*y*z`.
 
-    The text goes through a sympy expression, whose field sympy finds with
-    `extension=True`; coefficients are read back from expressions.
+    The grammar: int and decimal literals, x, y and z (x and y only for
+    cls="biv"), `I` and `sqrt(<rational>)`, unary +-, `+ - *`, `/` by a
+    nonzero constant, `^` or `**` by a non-negative int literal, and
+    parentheses.  The text is parsed by `ast` and evaluated node by node,
+    never as Python.  Radicals are reduced (sqrt(8) = 2 sqrt(2),
+    sqrt(-3) = I*sqrt(3)); IncompatibleField when two different radicals
+    remain, ValueError on anything outside the grammar.
     """
-    sp, syms = _sympy_ctx()
-    x, y, z = syms
-    loc = {"x": x, "y": y, "z": z, "sqrt": sp.sqrt, "Rational": sp.Rational}
-    expr = sp.expand(sp.sympify(text.replace("^", "**"), locals=loc, rational=True))
-    gens = syms if cls == "hom" else syms[:2]
-    pol = sp.Poly(expr, *gens, extension=True)
-    rads = set()
-    for pw in expr.atoms(sp.Pow):
-        if pw.exp == sp.Rational(1, 2) and pw.base.is_Rational:
-            rads.add(pw.base)
-    has_i = expr.has(sp.I)
+    names = _PARSE_NAMES if cls == "hom" else {v: _PARSE_NAMES[v] for v in ("x", "y", "I")}
+    src = text.replace("^", "**").strip()
+    try:
+        poly = _eval_poly(ast.parse(src, mode="eval").body, names, src)
+    except (SyntaxError, RecursionError) as exc:
+        raise ValueError(f"cannot parse {text!r}: {type(exc).__name__}") from None
+    rads = {key[3] for key in poly} - {1}
     if len(rads) > 1:
-        raise IncompatibleField(f"multiple radicals in {text!r}")
-    sd = None
-    field_d = Fraction(0)
-    if rads:
-        r = rads.pop()
-        rf = Fraction(int(r.p), int(r.q))
-        if has_i:
-            field_d = -rf
-            sd = sp.sqrt(r) * sp.I
-        else:
-            field_d = rf
-            sd = sp.sqrt(r)
-    elif has_i:
-        field_d = Fraction(-1)
-        sd = sp.I
-    out = {}
-    for mono, co in pol.as_dict().items():
-        c = _expr_to_scalar(sp, co, sd, field_d)
-        if c:
-            out[tuple(mono)] = c
+        raise IncompatibleField(f"more than one radical in {text!r}: "
+                                + ", ".join(f"sqrt({s})" for s in sorted(rads)))
+    d = rads.pop() if rads else 0
+    ab = {}
+    for (i, j, k, s), c in poly.items():
+        a, b = ab.get((i, j, k), (0, 0))
+        ab[(i, j, k)] = (a + c, b) if s == 1 else (a, b + c)
+    terms = {e: Scalar(a, b, d) for e, (a, b) in ab.items()}
     if cls == "hom":
-        return HomPoly(out)
-    return BiPoly({(i, j): c for (i, j), c in out.items()})
+        return HomPoly(terms)
+    return BiPoly({e[:2]: c for e, c in terms.items()})

@@ -9,6 +9,7 @@ multiplicity solver, and de Jonquieres elements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from .poly import (
     factor_linear_cubic,
     field_roots,
     jacobian_det,
+    parametrize_line,
     parse_poly,
+    poly_gcd,
     reduce_triple,
     restrict_to_line,
     substitute,
@@ -32,6 +35,7 @@ from .unipoly import RatFunc, padd, pdegree, pgcd, pmul, pquo_exact, pstrip
 
 SZERO = Scalar(0)
 SONE = Scalar(1)
+_LOG10_2 = math.log10(2)
 
 
 class ProjPoint:
@@ -74,7 +78,7 @@ class RatMap:
 
     __slots__ = ("components", "removed_factor")
 
-    def __init__(self, components, removed_factor=None, _skip_check=False):
+    def __init__(self, components, removed_factor=None):
         components = tuple(components)
         if len(components) != 3:
             raise ValueError("need exactly three components")
@@ -136,13 +140,13 @@ class RatMap:
         return tuple(c.eval_complex(xyz) for c in self.components)
 
     def coefficient_digits(self):
-        """Rough total size of all coefficients, for budget checks."""
-        total = 0
-        for c in self.components:
-            for v in c.terms.values():
-                for f in (v.a, v.b):
-                    total += len(str(f.numerator)) + len(str(f.denominator))
-        return total
+        """Total decimal digits of all numerators and denominators, for
+        budget checks.  Counted from bit lengths, so it may overshoot by one
+        digit per number; `len(str(n))` would be quadratic, and Python
+        refuses it above 4300 digits."""
+        return sum(int(n.bit_length() * _LOG10_2) + 1
+                   for c in self.components for v in c.terms.values()
+                   for n in (v.a.numerator, v.a.denominator, v.b.numerator, v.b.denominator))
 
     def __str__(self):
         return " : ".join(str(c) for c in self.components)
@@ -510,8 +514,6 @@ def _aff_eval(a, x0, y0):
 
 def _degenerate_common_zeros(aff, field_d):
     """Fallback when conics pairwise share components: intersect shared lines."""
-    from .poly import poly_gcd
-
     polys = []
     for a in aff:
         terms = {}
@@ -540,18 +542,12 @@ def _degenerate_common_zeros(aff, field_d):
                 roots, fully = field_roots(b, field_d)
                 if not fully:
                     complete = False
-                param = _line_points(lf)
+                param = parametrize_line(lf)
                 for r in roots:
                     x0, y0, z0 = (p * r + q for (p, q) in param)
                     if z0:
                         sols.append((x0 / z0, y0 / z0))
     return sols, complete
-
-
-def _line_points(lf):
-    from .poly import parametrize_line
-
-    return parametrize_line(lf)
 
 
 # -- Noether multiplicity profiles ----------------------------------------
@@ -703,13 +699,6 @@ def _inv2(A):
     return ((d / dt, -b / dt), (-c / dt, a / dt))
 
 
-def _inv2_scalar(A):
-    a, b = A[0]
-    c, d = A[1]
-    dt = a * d - b * c
-    return ((d / dt, -b / dt), (-c / dt, a / dt))
-
-
 def jonq_compose(j1, j2):
     """Group law matching ratmap composition: to_ratmap(j1 o j2) == f1 o f2."""
     vert = _mul2(_mobius_subst_matrix(j1.vertical, j2.base), j2.vertical)
@@ -718,6 +707,6 @@ def jonq_compose(j1, j2):
 
 
 def jonq_inverse(j):
-    base_inv = _inv2_scalar(j.base)
+    base_inv = _inv2(j.base)
     vert_inv = _inv2(_mobius_subst_matrix(j.vertical, base_inv))
     return JonqElement(vert_inv, base_inv)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import re
 from fractions import Fraction
 
 from .errors import IncompatibleField
@@ -209,7 +208,7 @@ class Scalar:
     def to_complex(self):
         return embed_complex(self)
 
-    # -- printing / parsing ------------------------------------------------
+    # -- printing -----------------------------------------------------------
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -238,21 +237,6 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
-def scalar_arith(x, y, op):
-    """Dispatch-style entry point used by the CLI layer."""
-    x = Scalar.coerce(x)
-    y = Scalar.coerce(y)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
 def embed_complex(x):
     """Lossy embedding Q(sqrt(d)) -> complex doubles."""
     x = Scalar.coerce(x)
@@ -261,43 +245,3 @@ def embed_complex(x):
     s = cmath.sqrt(complex(float(x.d), 0.0))
     return complex(float(x.a), 0.0) + float(x.b) * s
 
-
-_SQRT_TERM = re.compile(
-    r"^\s*(?P<sign>[+-])?\s*(?P<coef>\d+(?:/\d+)?\s*\*)?\s*"
-    r"sqrt\(\s*(?P<d>-?\d+(?:/\d+)?)\s*\)\s*$"
-)
-
-
-def parse_scalar(text, default_d=None):
-    """Parse `p/q`, `sqrt(d)`, `r/s*sqrt(d)` or `p/q + r/s*sqrt(d)`."""
-    text = text.strip()
-    # split on the last top-level +/- that is not a leading sign
-    for i in range(len(text) - 1, 0, -1):
-        if text[i] in "+-" and text[i - 1] not in "*/+-eE(":
-            left, right = text[:i], text[i:]
-            if "sqrt" in right and "sqrt" not in left:
-                rat = Fraction(left.replace(" ", ""))
-                sq = _parse_sqrt_term(right)
-                if sq is not None:
-                    b, d = sq
-                    return Scalar(rat, b, d)
-            break
-    sq = _parse_sqrt_term(text)
-    if sq is not None:
-        b, d = sq
-        return Scalar(0, b, d)
-    return Scalar(Fraction(text.replace(" ", "")))
-
-
-def _parse_sqrt_term(text):
-    m = _SQRT_TERM.match(text)
-    if not m:
-        return None
-    coef = m.group("coef")
-    if coef is None:
-        b = Fraction(1)
-    else:
-        b = Fraction(coef.replace(" ", "").rstrip("*"))
-    if m.group("sign") == "-":
-        b = -b
-    return b, Fraction(m.group("d"))

@@ -283,14 +283,3 @@ def _poly_str(coeffs, var):
             parts.append(f"{c}*{var}^{i}" if c != Scalar(1) else f"{var}^{i}")
     return " + ".join(parts) if parts else "0"
 
-
-def ratfunc_arith(f, g, op):
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown op {op!r}")

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BUDGET_EXCEEDED, BadDimension, DimensionMismatch, InexactDivision, NotARoot
 from .linalg import charpoly_int, mat_mul
 
@@ -207,6 +205,8 @@ def strip_cyclotomic(p):
 
 def poly_roots_numeric(coeffs):
     """Roots of an integer/float polynomial, companion matrix + Newton polish."""
+    import numpy as np  # on first use, so that `import cremona` does not load numpy
+
     cs = [complex(c) for c in coeffs]
     roots = np.roots(cs[::-1])
     out = []

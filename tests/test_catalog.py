@@ -1,8 +1,14 @@
 """Named maps, stored matrices, and polynomial families."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import cremona
+from cremona import catalog
 
 from cremona.catalog import (
     CUBIC_TABLE,
@@ -28,7 +34,8 @@ from cremona.catalog import (
     vn_residual,
 )
 from cremona.errors import PoleAtParameter
-from cremona.ratmap import compose
+from cremona.poly import reduce_triple
+from cremona.ratmap import RatMap, compose
 from cremona.scalars import Scalar
 from cremona.weyl import salem_classify
 
@@ -117,3 +124,21 @@ def test_verify_every_entry():
 def test_verify_unknown_entry():
     with pytest.raises(KeyError):
         verify_entry("nope")
+
+
+def test_named_maps_are_coprime():
+    # catalog builds them without a gcd; normalize would find no factor
+    named = [v for v in vars(catalog).values() if isinstance(v, RatMap)]
+    named += list(CUBIC_TABLE)
+    assert len(named) == 12
+    for f in named:
+        assert f.removed_factor is None
+        assert reduce_triple(f.components) == (list(f.components), None)
+
+
+def test_import_loads_neither_sympy_nor_numpy():
+    code = "import sys, cremona; print(sorted({'sympy', 'numpy'} & set(sys.modules)))"
+    src = os.path.dirname(cremona.__path__[0])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -121,6 +121,11 @@ def test_complex_expr_rejects_all_but_arithmetic(text):
         _complex_expr(text)
 
 
+def test_map_argument_is_parsed_not_evaluated(capsys):
+    code, out = run(capsys, "map-info", "--f", "__import__('os').getpid()*x : y : z")
+    assert code == 1 and out == ""
+
+
 def test_orbit_rejects_attribute_access(capsys):
     code, _ = run(capsys, "orbit", "--family", "fab", "--alpha", "().__class__",
                   "--beta", "1", "--seed", "0,0", "--n", "2")

@@ -1,22 +1,18 @@
-"""The compose kernel against an independent path, and the sympy conversion.
+"""The compose kernel against an independent path.
 
 `compose` substitutes in the affine chart z = 1, over ZZ for rational maps
-(common factor from gcd cofactors) and over sympy's algebraic field for
-Q(sqrt d).  The reference substitutes with HomPoly arithmetic and reduces
-the trivariate triple with `normalize`.
+(common factor from gcd cofactors) and on int pairs for Q(sqrt d).  The
+reference substitutes with HomPoly arithmetic and reduces the trivariate
+triple with `normalize`.
 """
 
 from fractions import Fraction
 
-import pytest
-import sympy
 from hypothesis import given, settings, strategies as st
 
-import cremona.poly as poly
 from cremona.catalog import E_INVOLUTION, RHO, SIGMA, TAU, f_ab
-from cremona.errors import IncompatibleField
 from cremona.linalg import det
-from cremona.poly import HomPoly, _from_sympy2, _to_sympy2, substitute
+from cremona.poly import HomPoly, substitute
 from cremona.ratmap import RatMap, compose, normalize
 from cremona.scalars import Scalar
 
@@ -105,35 +101,3 @@ def test_compose_divides_by_the_monic_gcd():
     assert str(h) == ("8*x^2 + 4*x*y + 4*x*z + 2*y*z : 4*x^2 + 6*x*z + 2*z^2"
                       " : 6*x^2 + 2*x*y + 2*x*z")
     assert str(h.removed_factor) == "x^2 + (1/2)*x*y"
-
-
-FIELDS = (Fraction(-3), Fraction(2), Fraction(-1), Fraction(1, 2))
-
-
-@st.composite
-def field_polys(draw):
-    d = draw(st.sampled_from(FIELDS))
-    deg = draw(st.integers(min_value=0, max_value=4))
-    terms = {}
-    for i in range(deg + 1):
-        for j in range(deg + 1 - i):
-            if draw(st.booleans()):
-                terms[(i, j, deg - i - j)] = Scalar(
-                    draw(small_rational), draw(small_rational), d)
-    return HomPoly(terms, deg), d
-
-
-@settings(max_examples=60, deadline=None)
-@given(field_polys())
-def test_sympy2_round_trip(pd):
-    p, d = pd
-    assert _from_sympy2(_to_sympy2(p, d), d, p.degree) == p
-
-
-def test_field_not_generated_by_sqrt_d_is_rejected(monkeypatch):
-    qq = type(sympy.QQ)
-    build = qq.algebraic_field
-    monkeypatch.setattr(poly, "_sympy_cache", {})
-    monkeypatch.setattr(qq, "algebraic_field", lambda self, ext: build(self, 2 * ext))
-    with pytest.raises(IncompatibleField):
-        _to_sympy2(HomPoly.var("x") * Scalar(0, 1, -7), Fraction(-7))

@@ -3,7 +3,9 @@
 `pairpoly.gcd_cofactors` serves `compose`, `reduce_triple` and `poly_gcd`
 over Q(sqrt d).  The reference is sympy's `Poly.gcd`/`cofactors` over
 QQ.algebraic_field(sqrt(d)), with polynomials converted through sympy
-expressions, so no conversion code of `cremona.poly` is used by it.
+expressions, so no conversion code of `cremona.poly` is used by it.  With
+d = 0 the same tests check `reduce_triple` and `poly_gcd` over Q, against
+sympy over QQ.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from cremona.ratmap import RatMap, compose
 from cremona.scalars import Scalar
 
 X, Y, Z = sympy.symbols("x y z")
-FIELDS = (Fraction(-3), Fraction(2), Fraction(-1), Fraction(1, 2))
+FIELDS = (Fraction(-3), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(0))
 SQRT_M3 = Scalar(0, 1, -3)
 # More primes than any input here needs (the largest, a 500-bit constant
 # term, needs about 35): a gcd that cannot be certified within them raises
@@ -44,7 +46,7 @@ def _sqrt(d):
 
 
 def _domain(d):
-    return sympy.QQ.algebraic_field(_sqrt(d))
+    return sympy.QQ.algebraic_field(_sqrt(d)) if d else sympy.QQ
 
 
 def _rat(f):
@@ -130,7 +132,8 @@ def hom_polys(draw, d, degree):
 @st.composite
 def field_families(draw, count):
     """d, a common factor c over Q(sqrt d) (possibly 1, possibly with a power
-    of z), and count multiples of c of one degree, at least one nonzero."""
+    of z), and count multiples of c of one degree, at least one nonzero and,
+    unless d = 0, at least one with an irrational coefficient."""
     d = draw(st.sampled_from(FIELDS))
     c = draw(hom_polys(d, draw(st.integers(min_value=0, max_value=2))))
     if c.is_zero():

@@ -153,3 +153,11 @@ def test_apply_and_indeterminacy():
 def test_parse_rejects_mixed_degrees():
     with pytest.raises(Exception):
         parse_ratmap("x : y*z : z")
+
+
+def test_coefficient_digits_of_a_coefficient_beyond_str_limit():
+    # 10^5000 + 1 has 5001 digits, past the 4300 that str() accepts on
+    # Python 3.11; every other numerator and denominator here has 1 digit.
+    x, y, z = (HomPoly.var(v) for v in "xyz")
+    f = RatMap((x * (10 ** 5000 + 1), y, z))
+    assert f.coefficient_digits() == 5001 + 11
