@@ -10,6 +10,7 @@ composition identities) rather than re-deriving them from blow-ups.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ from .ratmap import (
     quadratic_classify,
 )
 from .scalars import Scalar
-from .weyl import _intpoly_divmod, poly_roots_numeric
+from .unipoly import _intpoly_divmod, padd, pmul
+from .weyl import poly_roots_numeric
 
 # -- named quadratic and cubic maps ---------------------------------------
 
@@ -229,32 +231,12 @@ def conjugation_matrix_psi(alpha, alpha0):
 
 # -- integer polynomial families ------------------------------------------
 
-def _imul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _iadd(p, q):
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def chi_n(n):
     """t^(n+1) (t^3 - t - 1) + t^3 + t^2 - 1, constant first."""
     if n < 0:
         raise ValueError("need n >= 0")
     shifted = [0] * (n + 1) + [-1, -1, 0, 1]
-    return _iadd(shifted, [-1, 0, 1, 1])
+    return padd(shifted, [-1, 0, 1, 1])
 
 
 def chi_nk(n, k):
@@ -274,12 +256,12 @@ def p_nm(n, m):
         raise ValueError("need n >= 3 and m >= 1")
     fac1 = [-1] + [0] * (n * m - 1) + [1]          # t^(nm) - 1
     fac2 = [1] + [0] * (n - 2) + [-2, 1]           # t^n - 2 t^(n-1) + 1
-    num = _imul([0, 1], _imul(fac1, fac2))         # leading t factor
-    den = _imul([-1] + [0] * (n - 1) + [1], [-1, 1])
+    num = pmul([0, 1], pmul(fac1, fac2, zero=0), zero=0)  # leading t factor
+    den = pmul([-1] + [0] * (n - 1) + [1], [-1, 1], zero=0)
     quo = _intpoly_divmod(num, den)
     if quo is None:
         raise InexactDivision(f"(t^{n}-1)(t-1) does not divide the numerator")
-    return _iadd(quo, [1])
+    return padd(quo, [1])
 
 
 def lehmer():
@@ -463,13 +445,6 @@ def _poly_equiv(p, q):
     return p in (q, [-c for c in q], flip, [-c for c in flip])
 
 
-def _expand_factors(factors):
-    out = [1]
-    for f in factors:
-        out = _imul(out, f)
-    return out
-
-
 def _dominant_real_root(coeffs):
     roots = poly_roots_numeric(coeffs)
     return max(r.real for r in roots if abs(r.imag) < 1e-8)
@@ -513,7 +488,7 @@ def _verify_psi(rep):
 
 def _verify_action16(rep, M):
     cp = charpoly_int(M)
-    expected = _expand_factors(ACTION_16_CHARPOLY_FACTORS)
+    expected = functools.reduce(lambda p, q: pmul(p, q, zero=0), ACTION_16_CHARPOLY_FACTORS)
     rep.add("characteristic polynomial matches stored factorization",
             _poly_equiv(cp, expected))
     rep.add("det = +-1", abs(_int_det(M)) == 1)

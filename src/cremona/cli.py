@@ -33,7 +33,7 @@ def _field_discriminant(*maps):
         for c in f.components:
             for v in c.terms.values():
                 if v.b:
-                    return int(v.d) if v.d == int(v.d) else float(v.d)
+                    return v.d
     return 0
 
 

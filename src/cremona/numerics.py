@@ -11,6 +11,7 @@ import cmath
 from dataclasses import dataclass, field
 
 from .errors import IllConditioned, NonConvergence, PoleAtSeed
+from .unipoly import peval
 from .weyl import poly_roots_numeric
 
 ORBIT_CAP = 10 ** 6
@@ -130,13 +131,6 @@ def project_cloud(cloud, tag="omega1"):
 
 # -- polynomial roots -------------------------------------------------------
 
-def _poly_eval(coeffs, x):
-    out = 0j
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def poly_roots(coeffs):
     """All complex roots (companion matrix + Newton polish) with certified
     residuals; raises IllConditioned when a residual misses the bound."""
@@ -150,7 +144,7 @@ def poly_roots(coeffs):
     residuals = []
     bound = ROOT_RESIDUAL_BOUND * scale
     for r in roots:
-        res = abs(_poly_eval(cs, r))
+        res = abs(peval(cs, r, zero=0j))
         # the residual scales with the root magnitude for large roots
         tol = bound * max(1.0, abs(r)) ** (len(cs) - 1)
         if res > tol:

@@ -1,8 +1,8 @@
 """Bivariate polynomials over Q(sqrt(d)) on pairs of ints, and their
 greatest common divisor by a certified modular algorithm.
 
-With d = n/m in lowest terms, sqrt(d) = sqrt(e)/m for e = n*m, so any
-polynomial over Q(sqrt(d)) scales to one whose coefficients are
+`scalars` keeps the d of Q(sqrt(d)) as a squarefree int e, so any
+polynomial over Q(sqrt(e)) scales to one whose coefficients are
 A + B*sqrt(e) with A and B ints.  Such a polynomial in x, y is a dict
 {(i, j): (A, B)} with no (0, 0) values; a rational one is a pair
 (terms, den) standing for terms / den.
@@ -29,6 +29,7 @@ import math
 from fractions import Fraction
 
 from .errors import ResourceLimit
+from .unipoly import pstrip
 
 _PRIME_TOP = 1 << 62
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -337,7 +338,7 @@ def _gcd_mod(polys, p):
         img = []
         for rs in prims:
             ys = [_ueval(row, a, p) for row in rs]
-            img = _ugcd(img, _ustrip(ys), p) if img else _ustrip(ys)
+            img = _ugcd(img, pstrip(ys), p) if img else pstrip(ys)
         img = _umonic(img, p)
         deg = len(img) - 1
         if deg == 0:
@@ -424,16 +425,11 @@ def _interpolate(points, p):
             if delta:
                 rows[t] = _uadd(rows[t], [c * delta for c in basis], p)
         basis = _umul(basis, [-a % p, 1], p)
-    return [_ustrip(row) for row in rows]
+    return [pstrip(row) for row in rows]
 
 
-# univariate polynomials over F_p: lists of ints, constant term first
-
-def _ustrip(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
+# univariate polynomials over F_p: lists of ints, constant term first, reduced
+# mod p at every step (the generic helpers are in `unipoly`)
 
 def _ueval(a, x, p):
     v = 0
@@ -448,7 +444,7 @@ def _uadd(a, b, p):
     out = [c % p for c in a]
     for i, c in enumerate(b):
         out[i] = (out[i] + c) % p
-    return _ustrip(out)
+    return pstrip(out)
 
 
 def _umul(a, b, p):
@@ -476,7 +472,7 @@ def _udivmod(a, b, p):
         if c:
             for t in range(db):
                 a[k - db + t] = (a[k - db + t] - c * b[t]) % p
-    return q, _ustrip(a[:db])
+    return q, pstrip(a[:db])
 
 
 def _ugcd(a, b, p):

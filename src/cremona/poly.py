@@ -2,13 +2,18 @@
 affine polynomials, with gcd, substitution, Jacobians and splitting of low
 degree forms into linear factors.
 
+Every substitution runs through `_substitute2`, which builds each monomial
+of the substituted polynomial once, as one product of a lower monomial with
+an image: `substitute` on HomPolys, `BiPoly.subst` on BiPolys, the ansatz
+of `ratmap.inverse`, and `compose_reduce` on its integer or int-pair charts.
+
 Composition and gcd work in the affine chart z = 1.  Over Q, triples are
 scaled to integer coefficients and become sympy Polys over ZZ in (x, y), the
 only use of sympy, imported on first use: `compose_reduce` divides out their
 integer content only, and it, `reduce_triple` and `poly_gcd` take the common
 factor and the reduced components from gcd cofactors, without polynomial
-exact division.  Over Q(sqrt(d)), triples are scaled to coefficients
-A + B*sqrt(e) with A, B ints (sqrt(d) = sqrt(e)/m for d = n/m, e = n*m);
+exact division.  Over Q(sqrt(d)), d is a squarefree int (see `scalars`), so
+triples scale to coefficients A + B*sqrt(d) with A, B ints;
 `compose_reduce` substitutes on those pairs, and the common factor comes
 from the modular gcd of `pairpoly`, which is certified by trial division,
 whose quotients are the components.  `parse_poly` reads the input grammar
@@ -29,7 +34,7 @@ from .errors import (
     NOT_FULLY_SPLIT,
 )
 from .pairpoly import PairPoly, gcd_cofactors
-from .scalars import Scalar
+from .scalars import Scalar, _radical
 from .unipoly import padd, pdegree, pdivmod, pgcd, pmul, pstrip
 
 SZERO = Scalar(0)
@@ -150,6 +155,7 @@ class HomPoly:
         return HomPoly(out, self.degree + other.degree)
 
     __rmul__ = __mul__
+    mul_ground = __mul__
 
     def __pow__(self, k):
         r = HomPoly.constant(1)
@@ -208,7 +214,7 @@ class HomPoly:
         for c in self.terms.values():
             if c.d != 0:
                 return c.d
-        return Fraction(0)
+        return 0
 
     def __str__(self):
         if not self.terms:
@@ -242,20 +248,8 @@ def substitute(p, images):
     f0, f1, f2 = images
     if not (f0.degree == f1.degree == f2.degree):
         raise DegreeMismatch("images must share a degree")
-    m = f0.degree
-    out = HomPoly.zero(p.degree * m)
-    powers = [{0: HomPoly.constant(1)}, {0: HomPoly.constant(1)}, {0: HomPoly.constant(1)}]
-
-    def powof(idx, f, k):
-        cache = powers[idx]
-        if k not in cache:
-            cache[k] = powof(idx, f, k - 1) * f
-        return cache[k]
-
-    for (i, j, k), c in p.terms.items():
-        term = powof(0, f0, i) * powof(1, f1, j) * powof(2, f2, k) * c
-        out = out + term
-    return out
+    return _substitute2([p.terms], images, HomPoly.constant(1),
+                        HomPoly.zero(p.degree * f0.degree))[0]
 
 
 def jacobian_det(triple):
@@ -370,7 +364,7 @@ def _field_of(polys):
     for p in polys:
         if not p.is_zero() and p.field_disc():
             return p.field_disc()
-    return Fraction(0)
+    return 0
 
 
 def reduce_triple(raws):
@@ -414,14 +408,13 @@ def _chart_gcd(nonzero):
     zmin = min(p.min_exponent(2) for p in nonzero)
     field_d = _field_of(nonzero)
     if field_d:
-        e, m = _sqrt_basis(field_d)
-        den = _pair_scale(nonzero, m)
-        (g, gden), quotients = gcd_cofactors([_pair_terms(p, m, den) for p in nonzero], e)
+        den = _pair_scale(nonzero)
+        (g, gden), quotients = gcd_cofactors([_pair_terms(p, den) for p in nonzero], field_d)
         gdeg = _total_degree(g) + zmin
         if not gdeg:
             return None, nonzero
-        return _pairs_to_hom(g, gden, field_d, m, gdeg), [
-            _pairs_to_hom(q, s * den, field_d, m, p.degree - gdeg)
+        return _pairs_to_hom(g, gden, field_d, gdeg), [
+            _pairs_to_hom(q, s * den, field_d, p.degree - gdeg)
             for (q, s), p in zip(quotients, nonzero)]
     den, terms = _integer_terms(nonzero)
     g, quotients = _common_factor([_poly2(t) for t in terms], _poly2({(0, 0, 0): 1}))
@@ -434,37 +427,31 @@ def _chart_gcd(nonzero):
 
 # -- Q(sqrt(d)) on int pairs ----------------------------------------------
 
-def _sqrt_basis(field_d):
-    """(e, m) with sqrt(field_d) = sqrt(e) / m: e = n*m for field_d = n/m."""
-    m = field_d.denominator
-    return field_d.numerator * m, m
-
-
-def _pair_scale(polys, m):
-    """A common denominator of a and b/m over every coefficient
-    a + b*sqrt(d) = a + (b/m)*sqrt(e) of the polys."""
+def _pair_scale(polys):
+    """A common denominator of a and b over every coefficient a + b*sqrt(d)
+    of the polys."""
     den = 1
     for p in polys:
         for c in p.terms.values():
-            den = math.lcm(den, c.a.denominator, c.b.denominator * m)
+            den = math.lcm(den, c.a.denominator, c.b.denominator)
     return den
 
 
-def _pair_terms(p, m, den, keys=lambda e: e[:2]):
-    """Terms of den * p as int pairs (A, B) for A + B*sqrt(e), keyed by
+def _pair_terms(p, den, keys=lambda e: e[:2]):
+    """Terms of den * p as int pairs (A, B) for A + B*sqrt(d), keyed by
     keys(exponent triple): by default the z = 1 chart (i, j)."""
     return {
         keys(e): (c.a.numerator * (den // c.a.denominator),
-                  c.b.numerator * (den // (c.b.denominator * m)))
+                  c.b.numerator * (den // c.b.denominator))
         for e, c in p.terms.items()
     }
 
 
-def _pairs_to_hom(terms, den, field_d, m, degree):
+def _pairs_to_hom(terms, den, field_d, degree):
     """HomPoly of the given degree from z = 1 pair terms standing for
-    (A + B*sqrt(e)) / den = A/den + (B*m/den)*sqrt(d)."""
+    (A + B*sqrt(d)) / den."""
     return HomPoly._clean({
-        (i, j, degree - i - j): Scalar(Fraction(a, den), Fraction(b * m, den), field_d)
+        (i, j, degree - i - j): Scalar(Fraction(a, den), Fraction(b, den), field_d)
         for (i, j), (a, b) in terms.items()
     }, degree)
 
@@ -475,24 +462,24 @@ def _total_degree(terms):
 
 def _compose_pairs(fcomps, gcomps, field_d, df, bigdeg):
     """compose_reduce over Q(sqrt(d)), on int pairs (see `pairpoly`)."""
-    e, m = _sqrt_basis(field_d)
-    sf = _pair_scale(fcomps, m)
-    sg = _pair_scale(gcomps, m)
-    fterms = [_pair_terms(p, m, sf, keys=tuple) for p in fcomps]
-    gs = [PairPoly(_pair_terms(p, m, sg), e) for p in gcomps]
-    hs = _substitute2(fterms, gs, PairPoly({(0, 0): (1, 0)}, e), PairPoly({}, e))
+    sf = _pair_scale(fcomps)
+    sg = _pair_scale(gcomps)
+    fterms = [_pair_terms(p, sf, keys=tuple) for p in fcomps]
+    gs = [PairPoly(_pair_terms(p, sg), field_d) for p in gcomps]
+    one, zero = PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d)
+    hs = _substitute2(fterms, gs, one, zero)
     nonzero = [h.terms for h in hs if h.terms]
     if not nonzero:
         return [HomPoly.zero(0)] * 3, None
     scale = sf * sg ** df  # each h is scale * f_i(g)
     zpow = bigdeg - max(_total_degree(h) for h in nonzero)
-    (g, gden), quotients = gcd_cofactors(nonzero, e)
+    (g, gden), quotients = gcd_cofactors(nonzero, field_d)
     gdeg = _total_degree(g)
     if gdeg == 0 and zpow == 0:
         newdeg, ghom = bigdeg, None
     else:
         newdeg = bigdeg - zpow - gdeg
-        ghom = _pairs_to_hom(g, gden, field_d, m, zpow + gdeg)
+        ghom = _pairs_to_hom(g, gden, field_d, zpow + gdeg)
     if len(nonzero) == 1 and gdeg:  # a lone component is its own gcd, as over ZZ
         quotients = [({(0, 0): (1, 0)}, 1)]
         scale = 1
@@ -501,23 +488,30 @@ def _compose_pairs(fcomps, gcomps, field_d, df, bigdeg):
     for h in hs:
         if h.terms:
             q, s = next(it)
-            comps.append(_pairs_to_hom(q, s * scale, field_d, m, newdeg))
+            comps.append(_pairs_to_hom(q, s * scale, field_d, newdeg))
         else:
             comps.append(HomPoly.zero(newdeg))
     return comps, ghom
 
 
 def _substitute2(fterms, gs, one, zero):
-    """Dehomogenized f(g0, g1, g2) for each term dict of fterms.
+    """f(g0, g1, ...) for each term dict f of fterms, whose exponent tuples
+    have one entry per element of gs: the one substitution routine.
 
     Each distinct monomial in f's support is built once, as one product of
-    a lower monomial (cached for this call) with a component of g.
+    a lower monomial (cached for this call) with an element of gs.  The gs
+    need `*`, `+` and `mul_ground` by a coefficient of f: HomPoly and BiPoly
+    over Scalar, and the dehomogenized Polys over ZZ and PairPolys of
+    `compose_reduce`.
     """
-    monos = {(0, 0, 0): one, (1, 0, 0): gs[0], (0, 1, 0): gs[1], (0, 0, 1): gs[2]}
+    n = len(gs)
+    monos = {(0,) * n: one}
+    for t, g in enumerate(gs):
+        monos[tuple(int(a == t) for a in range(n))] = g
 
     def monomial(e):
         if e not in monos:
-            t = next(a for a in range(3) if e[a])
+            t = next(a for a in range(n) if e[a])
             lower = list(e)
             lower[t] -= 1
             monos[e] = monomial(tuple(lower)) * gs[t]
@@ -1026,6 +1020,7 @@ class BiPoly:
         return BiPoly(out)
 
     __rmul__ = __mul__
+    mul_ground = __mul__
 
     def __pow__(self, k):
         r = BiPoly.coerce(1)
@@ -1039,18 +1034,7 @@ class BiPoly:
 
     def subst(self, fx, fy):
         """self(fx, fy) for BiPoly arguments."""
-        out = BiPoly({})
-        cache_x = {0: BiPoly.coerce(1)}
-        cache_y = {0: BiPoly.coerce(1)}
-
-        def pw(cache, base, k):
-            if k not in cache:
-                cache[k] = pw(cache, base, k - 1) * base
-            return cache[k]
-
-        for (i, j), c in self.terms.items():
-            out = out + pw(cache_x, fx, i) * pw(cache_y, fy, j) * c
-        return out
+        return _substitute2([self.terms], (fx, fy), BiPoly.coerce(1), BiPoly({}))[0]
 
     def top_form(self):
         """Leading homogeneous part, as a BiPoly."""
@@ -1121,7 +1105,6 @@ class BiPoly:
 # sqrt(-3), sqrt(-12)/2) is one key.
 
 _UNIT = (0, 0, 0, 1)
-_SQUARE_SEARCH = 2 ** 15
 _PARSE_NAMES = {
     "x": {(1, 0, 0, 1): Fraction(1)},
     "y": {(0, 1, 0, 1): Fraction(1)},
@@ -1179,25 +1162,15 @@ def _p_div(u, v):
 
 
 def _p_sqrt(u):
-    """sqrt(q) for a constant rational u = q, as (k / den) sqrt(s): the
-    square factors i^2 with i < _SQUARE_SEARCH come out, and so does a
-    remainder that is a square."""
+    """sqrt(q) for a constant rational u = q, as k sqrt(s) from
+    `scalars._radical`."""
     if any(key != _UNIT for key in u):
         raise ValueError("sqrt of something other than a rational number")
     q = u.get(_UNIT, Fraction(0))
     if not q:
         return {}
-    n = abs(q.numerator) * q.denominator  # sqrt(n/den^2) = sqrt(q)
-    k, i = 1, 2
-    while i < _SQUARE_SEARCH and i * i <= n:
-        while n % (i * i) == 0:
-            n //= i * i
-            k *= i
-        i += 1
-    r = math.isqrt(n)
-    if r * r == n:
-        k, n = k * r, 1
-    return {(0, 0, 0, -n if q < 0 else n): Fraction(k, q.denominator)}
+    k, s = _radical(q)
+    return {(0, 0, 0, s): Fraction(k)}
 
 
 _CHAIN_OPS = {

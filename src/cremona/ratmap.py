@@ -9,9 +9,7 @@ multiplicity solver, and de Jonquieres elements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import NOT_CONTRACTED, NOT_FOUND, NOT_FULLY_SPLIT, ZeroMap
 from .linalg import det as mat_det
@@ -19,6 +17,7 @@ from .linalg import mat_inverse, nullspace
 from .poly import (
     HomPoly,
     LinearForm,
+    _substitute2,
     compose_reduce,
     factor_linear_cubic,
     field_roots,
@@ -28,14 +27,12 @@ from .poly import (
     poly_gcd,
     reduce_triple,
     restrict_to_line,
-    substitute,
 )
 from .scalars import Scalar
 from .unipoly import RatFunc, padd, pdegree, pgcd, pmul, pquo_exact, pstrip
 
 SZERO = Scalar(0)
 SONE = Scalar(1)
-_LOG10_2 = math.log10(2)
 
 
 class ProjPoint:
@@ -144,9 +141,7 @@ class RatMap:
         budget checks.  Counted from bit lengths, so it may overshoot by one
         digit per number; `len(str(n))` would be quadratic, and Python
         refuses it above 4300 digits."""
-        return sum(int(n.bit_length() * _LOG10_2) + 1
-                   for c in self.components for v in c.terms.values()
-                   for n in (v.a.numerator, v.a.denominator, v.b.numerator, v.b.denominator))
+        return sum(v.digits() for c in self.components for v in c.terms.values())
 
     def __str__(self):
         return " : ".join(str(c) for c in self.components)
@@ -207,7 +202,8 @@ def inverse(f, target_degree):
     nu = f.degree
     mons = _monomials(d)
     # images of each ansatz monomial under f
-    imgs = [substitute(HomPoly.monomial(SONE, m), f.components) for m in mons]
+    imgs = _substitute2([{m: SONE} for m in mons], f.components,
+                        HomPoly.constant(1), HomPoly.zero(d * nu))
     nmon = len(mons)
     vars_ = [HomPoly.var(v) for v in ("x", "y", "z")]
     big = _monomials(d * nu + 1)
@@ -385,7 +381,7 @@ def indeterminacy_points_quadratic(f):
     """Common zeros of the component conics; returns (points, obstructed)."""
     if f.degree != 2:
         raise ValueError("map must be quadratic")
-    field_d = Fraction(0)
+    field_d = 0
     for c in f.components:
         if c.field_disc() != 0:
             field_d = c.field_disc()

@@ -1,9 +1,11 @@
 """Exact coefficient arithmetic: Q and a single quadratic extension Q(sqrt(d)).
 
-A Scalar is a + b*sqrt(d) with a, b rational and d a fixed rational
-discriminant.  Scalars from different extensions only mix when one of them
-is plain rational (b = 0).  Perfect-square discriminants collapse to Q at
-construction, so pure-rational computations never carry an extension around.
+A Scalar is a + b*sqrt(d) with a, b rational and d one canonical int per
+field: the radicand s of sqrt(d) = k*sqrt(s) from `_radical`, so that
+Scalar(0, 1, 8) is 2*sqrt(2) and Scalar(0, 1, 1/2) is 1/2*sqrt(2).  Scalars
+from different extensions only mix when one of them is plain rational
+(b = 0).  Perfect-square discriminants collapse to Q at construction, so
+pure-rational computations never carry an extension around (d = 0 there).
 Towers of extensions are rejected: sqrt of a proper extension element that
 does not land back in the field is simply unavailable (is_square returns
 None).
@@ -16,10 +18,11 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import IncompatibleField
+from .errors import IncompatibleField, ResourceLimit
 
-_Q = Fraction
 _F0 = Fraction(0)
+_LOG10_2 = math.log10(2)
+_SQUARE_SEARCH = 2 ** 15
 
 
 @functools.lru_cache(maxsize=4096)
@@ -35,6 +38,27 @@ def _sqrt_fraction(f):
     return None
 
 
+@functools.lru_cache(maxsize=4096)
+def _radical(d):
+    """(k, s) with sqrt(d) = k*sqrt(s) for a rational d: k rational and s an
+    int, 1 when d is a square, else with the square factors i^2 for
+    i < _SQUARE_SEARCH taken out, and a remainder that is a square, so that
+    no input makes the search long.  sqrt(s) for s < 0 is i*sqrt(-s)."""
+    d = Fraction(d)
+    n = abs(d.numerator) * d.denominator  # sqrt(|d|) = sqrt(n) / denominator
+    k, i = 1, 2
+    while i < _SQUARE_SEARCH and i * i <= n:
+        while n % (i * i) == 0:
+            n //= i * i
+            k *= i
+        i += 1
+    r = math.isqrt(n)
+    if r * r == n:
+        k, n = k * r, 1
+    k = k if d.denominator == 1 else Fraction(k, d.denominator)
+    return k, -n if d < 0 else n
+
+
 class Scalar:
     """Immutable element a + b*sqrt(d) of Q(sqrt(d))."""
 
@@ -45,16 +69,14 @@ class Scalar:
             a = Fraction(a)
         if type(b) is not Fraction:
             b = Fraction(b)
-        if type(d) is not Fraction:
-            d = Fraction(d)
         if b == 0:
-            d = _F0
+            d = 0
         else:
-            r = _sqrt_fraction(d)
-            if r is not None:
-                a = a + b * r
-                b = Fraction(0)
-                d = Fraction(0)
+            k, d = _radical(d)
+            if d == 1:
+                a, b, d = a + b * k, _F0, 0
+            elif k != 1:
+                b = b * k
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
@@ -213,7 +235,21 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self})"
 
+    def digits(self):
+        """Decimal digits of the numerators and denominators of a and b,
+        counted from bit lengths, so up to one too many for each."""
+        return sum(int(n.bit_length() * _LOG10_2) + 1 for n in (
+            self.a.numerator, self.a.denominator, self.b.numerator, self.b.denominator))
+
     def __str__(self):
+        try:
+            return self._text()
+        except ValueError:  # Python refuses int -> str past 4300 digits
+            raise ResourceLimit(
+                f"printing a coefficient whose numerators and denominators have"
+                f" {self.digits()} digits, past Python's int to str limit") from None
+
+    def _text(self):
         if self.b == 0:
             return str(self.a)
         parts = []

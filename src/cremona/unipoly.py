@@ -1,9 +1,13 @@
-"""Dense univariate polynomial helpers over any exact field.
+"""Dense univariate polynomials, the one home of coefficient lists.
 
 Polynomials are plain lists of coefficients, constant term first, with no
 trailing zeros (the zero polynomial is the empty list).  Coefficients only
 need the usual operator overloads (+, -, *, /, ==, bool), so the same
-routines serve Scalar coefficients and RatFunc coefficients alike.
+routines serve int, complex, Scalar and RatFunc coefficients alike; a
+routine that starts from a zero or a one takes it as an argument, Scalar by
+default (`pmul(p, q, zero=0)` multiplies int lists).  `_intpoly_divmod` is
+exact division over Z.  The F_p helpers of `pairpoly` reduce mod p at every
+step and stay there.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ def padd(p, q):
 
 def pneg(p):
     return [-c for c in p]
-
-
-def psub(p, q):
-    return padd(p, pneg(q))
 
 
 def pscale(p, c):
@@ -123,8 +123,24 @@ def peval(p, x, zero=SZERO):
     return acc
 
 
-def pderiv(p):
-    return pstrip([p[i] * i for i in range(1, len(p))])
+def _intpoly_divmod(num, den):
+    """Division in Q[x] but returning None unless quotient is integral and exact."""
+    num = list(num)
+    dn = len(den) - 1
+    out = [0] * max(len(num) - dn, 0)
+    while len(num) - 1 >= dn and any(num):
+        shift = len(num) - 1 - dn
+        if num[-1] % den[-1] != 0:
+            return None
+        c = num[-1] // den[-1]
+        out[shift] = c
+        for i, b in enumerate(den):
+            num[shift + i] -= c * b
+        while num and num[-1] == 0:
+            num.pop()
+    if any(num):
+        return None
+    return out
 
 
 def peval_mobius(p, num, den, zero=SZERO, one=SONE):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import BUDGET_EXCEEDED, BadDimension, DimensionMismatch, InexactDivision, NotARoot
 from .linalg import charpoly_int, mat_mul
+from .unipoly import _intpoly_divmod
 
 MODULUS_TOL = 1e-8
 REFINE_TOL = 1e-10
@@ -145,26 +146,6 @@ def cyclotomic(d):
                 raise InexactDivision(f"Phi_{e} does not divide x^{d} - 1")
     _cyclo_cache[d] = num
     return num
-
-
-def _intpoly_divmod(num, den):
-    """Division in Q[x] but returning None unless quotient is integral and exact."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * max(len(num) - dn, 0)
-    while len(num) - 1 >= dn and any(num):
-        shift = len(num) - 1 - dn
-        if num[-1] % den[-1] != 0:
-            return None
-        c = num[-1] // den[-1]
-        out[shift] = c
-        for i, b in enumerate(den):
-            num[shift + i] -= c * b
-        while num and num[-1] == 0:
-            num.pop()
-    if any(num):
-        return None
-    return out
 
 
 def _totient(d):

@@ -5,6 +5,7 @@ doubles as a checklist.
 """
 
 import cmath
+import functools
 import random
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from cremona.catalog import (
     SIGMA,
     TAU,
     _conjugacy_holds,
-    _expand_factors,
     _int_det,
     bk_matrix,
     chi_n,
@@ -59,6 +59,7 @@ from cremona.ratmap import (
     quadratic_classify,
 )
 from cremona.scalars import Scalar
+from cremona.unipoly import pmul
 from cremona.weyl import (
     char_poly,
     group_order_bfs,
@@ -177,7 +178,7 @@ def test_criterion_08_weyl_salem():
 
 
 def test_criterion_09_catalog_matrices():
-    expected = _expand_factors(ACTION_16_CHARPOLY_FACTORS)
+    expected = functools.reduce(lambda p, q: pmul(p, q, zero=0), ACTION_16_CHARPOLY_FACTORS)
     golden = (3 + 5 ** 0.5) / 2
     for M in (PHI3_ACTION_16, PSI_ACTION_16):
         cp = charpoly_int(M)

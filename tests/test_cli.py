@@ -126,6 +126,13 @@ def test_map_argument_is_parsed_not_evaluated(capsys):
     assert code == 1 and out == ""
 
 
+def test_map_info_with_a_coefficient_beyond_str_limit(capsys):
+    code = main(["map-info", "--f", "x*(10^5000 + 1) : y : z"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "ResourceLimit" in captured.err and "digits" in captured.err
+
+
 def test_orbit_rejects_attribute_access(capsys):
     code, _ = run(capsys, "orbit", "--family", "fab", "--alpha", "().__class__",
                   "--beta", "1", "--seed", "0,0", "--n", "2")

@@ -53,14 +53,13 @@ def _rat(f):
     return sympy.Rational(f.numerator, f.denominator)
 
 
-def _hom_expr(p, d):
-    sd = _sqrt(d)
-    return sum(((_rat(c.a) + _rat(c.b) * sd) * X**i * Y**j * Z**k
+def _hom_expr(p):
+    return sum(((_rat(c.a) + _rat(c.b) * _sqrt(c.d)) * X**i * Y**j * Z**k
                 for (i, j, k), c in p.terms.items()), sympy.Integer(0))
 
 
 def _hom_poly(p, d):
-    return sympy.Poly(_hom_expr(p, d), X, Y, Z, domain=_domain(d))
+    return sympy.Poly(_hom_expr(p), X, Y, Z, domain=_domain(d))
 
 
 def _pair_poly(terms, den, e):

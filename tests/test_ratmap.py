@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cremona.errors import NOT_CONTRACTED, NOT_FOUND
+from cremona.errors import NOT_CONTRACTED, NOT_FOUND, ResourceLimit
 from cremona.poly import HomPoly, LinearForm, parse_poly
 from cremona.ratmap import (
     JonqElement,
@@ -161,3 +161,11 @@ def test_coefficient_digits_of_a_coefficient_beyond_str_limit():
     x, y, z = (HomPoly.var(v) for v in "xyz")
     f = RatMap((x * (10 ** 5000 + 1), y, z))
     assert f.coefficient_digits() == 5001 + 11
+
+
+def test_printing_a_coefficient_beyond_str_limit_is_a_resource_limit():
+    x, y, z = (HomPoly.var(v) for v in "xyz")
+    f = RatMap((x * (10 ** 5000 + 1), y, z))
+    for obj in (f, f.components[0], f.components[0].terms[(1, 0, 0)]):
+        with pytest.raises(ResourceLimit, match="have 5004 digits"):
+            str(obj)

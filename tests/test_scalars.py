@@ -21,6 +21,18 @@ def test_perfect_square_discriminant_collapses():
     assert Scalar(0, 3, Fraction(9, 4)) == Scalar(Fraction(9, 2))
 
 
+def test_one_canonical_discriminant_per_field():
+    # sqrt(8) = 2 sqrt(2), sqrt(1/2) = 1/2 sqrt(2), sqrt(-12) = 2 sqrt(-3)
+    assert Scalar(0, 1, 8) + Scalar(0, 1, 2) == Scalar(0, 3, 2)
+    assert Scalar(0, 1, 8) == Scalar(0, 2, 2)
+    assert hash(Scalar(0, 1, 8)) == hash(Scalar(0, 2, 2))
+    assert Scalar(0, 1, Fraction(1, 2)) == Scalar(0, Fraction(1, 2), 2)
+    assert Scalar(0, 1, -12) * Scalar(0, 1, -3) == Scalar(-6)
+    assert Scalar(0, 1, -4) == Scalar(0, 2, -1)
+    for d, s in ((8, 2), (Fraction(1, 2), 2), (-12, -3), (Fraction(-9, 20), -5), (-4, -1)):
+        assert Scalar(1, 1, d).d == s and type(Scalar(1, 1, d).d) is int
+
+
 def test_incompatible_fields_refuse_to_mix():
     with pytest.raises(IncompatibleField):
         Scalar(0, 1, 2) + Scalar(0, 1, 3)

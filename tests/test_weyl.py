@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from cremona.errors import BUDGET_EXCEEDED
 from cremona.linalg import mat_mul
-from cremona.unipoly import pmul
+from cremona.unipoly import _intpoly_divmod, pmul
 from cremona.weyl import (
     BFS_BUDGET,
-    _intpoly_divmod,
     char_poly,
     cyclic_permutation,
     cyclotomic,
