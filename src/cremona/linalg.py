@@ -11,6 +11,8 @@ from .scalars import Scalar
 
 SZERO = Scalar(0)
 SONE = Scalar(1)
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def mat_mul(A, B):
@@ -80,18 +82,90 @@ def _inv(x):
     return 1 / x
 
 
-def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix, as coefficient lists."""
-    R, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(rows, ncols, d=0):
+    """Basis of the right nullspace of an integer matrix, or of a matrix over
+    Q(sqrt(d)) with entries (a, b) standing for a + b*sqrt(d), a and b ints.
+
+    The basis is the one rref gives: for each free column fc, the vector
+    with 1 at fc, 0 at the other free columns and -R[r][fc] / R[r][pc] at
+    the pivot column pc of each row r of the reduced matrix R.  The matrix
+    is reduced on ints by `_int_rref`, and only the basis entries become
+    Fractions; over Q(sqrt(d)) they become Scalars.
+
+    Over Q(sqrt(d)) the system is solved in its real form on the unknowns
+    v = v0 + v1*sqrt(d): each row gives an int row for the rational and one
+    for the sqrt(d) part, with the columns interleaved as (v0[c], v1[c]).
+    Real column 2c + 1 is sqrt(d) times real column 2c, so the free real
+    columns are 2c and 2c + 1 for each free column c of the matrix, and the
+    basis vector of 2c is the rref basis vector of c.
+    """
+    if not d:
+        R, pivots = _int_rref(rows, ncols)
+        return _basis(R, pivots, ncols)
+    real = []
+    for row in rows:
+        real.append([v for a, b in row for v in (a, d * b)])
+        real.append([v for a, b in row for v in (b, a)])
+    R, pivots = _int_rref(real, 2 * ncols)
+    return [[Scalar(v[2 * c], v[2 * c + 1], d) for c in range(ncols)]
+            for v in _basis(R, pivots, 2 * ncols, step=2)]
+
+
+def _basis(R, pivots, ncols, step=1):
+    """Fraction nullspace vectors of the free columns fc (with fc % step
+    == 0) of the reduced int rows R with the given pivot columns."""
     basis = []
-    for fc in free:
-        v = [SZERO] * ncols
-        v[fc] = SONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
+    pivot_set = set(pivots)
+    for fc in range(0, ncols, step):
+        if fc in pivot_set:
+            continue
+        v = [_F0] * ncols
+        v[fc] = _F1
+        for row, pc in zip(R, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
+
+
+def _int_rref(rows, ncols):
+    """Fraction-free Gauss-Jordan on int rows: (R, pivots) where row r of R
+    is a nonzero int multiple of row r of the rref.
+
+    Each elimination step p * row - f * pivot_row is divided by the gcd of
+    its entries, and the pivot of each column is the least in absolute value
+    of its rows, which keeps the entries small; the rref, and so the
+    result, does not depend on the choice.
+    """
+    A = [list(row) for row in rows if any(row)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = min((i for i in range(r, len(A)) if A[i][c]),
+                key=lambda i: abs(A[i][c]), default=None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        P = A[r]
+        p = P[c]
+        kept = []
+        for i, row in enumerate(A):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * u - b * v for u, v in zip(row, P)]
+                g = math.gcd(*row)
+                if not g:  # the row reduced to zero
+                    continue
+                if g > 1:
+                    row = [u // g for u in row]
+            kept.append(row)
+        A = kept
+        pivots.append(c)
+        if len(A) == r + 1:
+            break
+    return A[:len(pivots)], pivots
 
 
 def mat_inverse(A):

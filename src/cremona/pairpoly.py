@@ -39,7 +39,9 @@ class PairPoly:
     """Polynomial in x, y with coefficients A + B*sqrt(e), A and B ints.
 
     It supplies the operations the monomial-sharing substitution in `poly`
-    uses: `*`, `+` and `mul_ground` by an int pair.
+    uses: `*`, `+` and `mul_ground` by an int pair.  With e = 0 and every
+    B = 0 it is a polynomial over ZZ, as the ansatz images of
+    `ratmap.inverse` over Q use it.
     """
 
     __slots__ = ("terms", "e")

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 from .errors import NOT_CONTRACTED, NOT_FOUND, NOT_FULLY_SPLIT, ZeroMap
 from .linalg import det as mat_det
-from .linalg import mat_inverse, nullspace
+from .linalg import nullspace
 from .poly import (
     HomPoly,
     LinearForm,
-    _substitute2,
+    _chart_images,
     compose_reduce,
     factor_linear_cubic,
     field_roots,
@@ -197,60 +197,47 @@ def inverse(f, target_degree):
 
     Unknown triple g; the conditions (g o f)_i * x_j - (g o f)_j * x_i = 0
     are linear in g's coefficients.  Returns a RatMap or NOT_FOUND.
+
+    The images of the ansatz monomials under f come from `_chart_images` as
+    ints (int pairs over Q(sqrt(d))) in the z = 1 chart, all scaled by one
+    constant, which leaves the solutions unchanged.  Multiplying by x_j
+    shifts their exponents, and `nullspace` solves the system on ints.
+    Every candidate is certified by composing it with f both ways.
     """
     d = target_degree
-    nu = f.degree
+    if d < 1:
+        raise ValueError("inverse degree must be at least 1")
     mons = _monomials(d)
-    # images of each ansatz monomial under f
-    imgs = _substitute2([{m: SONE} for m in mons], f.components,
-                        HomPoly.constant(1), HomPoly.zero(d * nu))
     nmon = len(mons)
-    vars_ = [HomPoly.var(v) for v in ("x", "y", "z")]
-    big = _monomials(d * nu + 1)
-    bigidx = {m: i for i, m in enumerate(big)}
-    rows = {}
-
-    def add_entry(eq_block, mono, col, coef):
-        key = (eq_block, bigidx[mono])
-        row = rows.setdefault(key, {})
-        row[col] = row.get(col, SZERO) + coef
-
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    for p_i, (ci, cj) in enumerate(pairs):
-        for m_idx in range(nmon):
-            base = imgs[m_idx]
-            contrib_i = base * vars_[cj]
-            contrib_j = base * vars_[ci]
-            for e, c in contrib_i.terms.items():
-                add_entry(p_i, e, ci * nmon + m_idx, c)
-            for e, c in contrib_j.terms.items():
-                add_entry(p_i, e, cj * nmon + m_idx, -c)
     ncols = 3 * nmon
-    mat = []
-    for key in sorted(rows):
-        row = rows[key]
-        mat.append([row.get(c, SZERO) for c in range(ncols)])
-    basis = nullspace(mat, ncols)
+    field_d, imgs = _chart_images(mons, f.components)
+    if field_d:
+        zero = (0, 0)
+        negs = [{e: (-a, -b) for e, (a, b) in img.items()} for img in imgs]
+    else:
+        zero = 0
+        negs = [{e: -c for e, c in img.items()} for img in imgs]
+    unit = ((1, 0), (0, 1), (0, 0))  # x, y, z in the chart (i, j)
+    rows = {}
+    for block, (ci, cj) in enumerate(((0, 1), (0, 2), (1, 2))):
+        for k in range(nmon):
+            # + image_k * x_cj in column (ci, k), - image_k * x_ci in column (cj, k)
+            for col, (si, sj), img in ((ci * nmon + k, unit[cj], imgs[k]),
+                                       (cj * nmon + k, unit[ci], negs[k])):
+                for (i, j), c in img.items():
+                    key = (block, i + si, j + sj)
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = [zero] * ncols
+                    row[col] = c
+    basis = nullspace(list(rows.values()), ncols, field_d)
     candidates = list(basis)
     if len(basis) > 1:
-        acc = [SZERO] * ncols
-        for v in basis:
-            acc = [a + b for a, b in zip(acc, v)]
-        candidates.append(acc)
+        candidates.append([sum(col) for col in zip(*basis)])
     ident = RatMap.identity()
     for vec in candidates:
-        comps = []
-        for c in range(3):
-            terms = {}
-            for m_idx, m in enumerate(mons):
-                coef = vec[c * nmon + m_idx]
-                if coef:
-                    terms[m] = coef
-            comps.append(HomPoly(terms, d))
-        if all(p.is_zero() for p in comps):
-            continue
-        if len({p.degree for p in comps if not p.is_zero()}) != 1:
-            continue
+        comps = [HomPoly({m: vec[c * nmon + k] for k, m in enumerate(mons)}, d)
+                 for c in range(3)]
         try:
             g = normalize(tuple(comps))
             if compose(g, f) == ident and compose(f, g) == ident:

@@ -46,6 +46,14 @@ def test_invert_failure_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_invert_degree_below_one_is_an_error(capsys, degree):
+    code = main(["invert", "--f", "y*z:x*z:x*y", "--degree", degree])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "error: inverse degree must be at least 1\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

@@ -1,12 +1,13 @@
 """Exact linear algebra: checks that raise typed errors, and the integer and
 Fraction fast paths against independent references (sympy's charpoly, the
-rref carried out on Scalars)."""
+rref carried out on Scalars, and the integer nullspace against the rref on
+Fractions or on Scalars of Q(sqrt d))."""
 
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cremona.errors import DimensionMismatch, InexactDivision
 from cremona.linalg import _rref, charpoly_int, mat_inverse, mat_mul, nullspace, rref
@@ -93,22 +94,6 @@ def test_charpoly_int_rational_matrix_with_integral_polynomial():
 
 # -- rref: the Fraction fast path against the Scalar path -------------------
 
-def _scalar_rref(rows, ncols):
-    """rref carried out on the Scalars themselves, with no Fraction path."""
-    return _rref([list(r) for r in rows], ncols)
-
-
-def _nullspace_from(R, pivots, ncols):
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Scalar(0)] * ncols
-        v[fc] = Scalar(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
-
-
 @st.composite
 def scalar_matrices(draw):
     m = draw(st.integers(min_value=1, max_value=6))
@@ -124,15 +109,90 @@ def scalar_matrices(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(scalar_matrices())
-def test_rational_rref_and_nullspace_match_the_scalar_path(case):
+def test_rational_rref_matches_the_scalar_path(case):
     M, ncols = case
     R, pivots = rref(M, ncols)
-    R_ref, pivots_ref = _scalar_rref(M, ncols)
+    R_ref, pivots_ref = _rref([list(r) for r in M], ncols)
     assert pivots == pivots_ref
     assert R == R_ref
     assert all(type(v) is Scalar for row in R for v in row)
+
+
+# -- nullspace: the integer Gauss-Jordan against rref on the field -----------
+
+def _rref_nullspace(M, ncols):
+    """The rref basis of the nullspace, reduced by `_rref` on field elements."""
+    R, pivots = _rref([list(r) for r in M], ncols)
+    zero, one = M[0][0] * 0, M[0][0] * 0 + 1  # in the field of the entries
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def low_rank(draw, entry, zero):
+    """An m x n product of an m x k and a k x n matrix (so nullity >= n - k),
+    with some of its rows set to zero: m may exceed n, and any nullity from
+    0 to n occurs."""
+    m = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=0, max_value=n))
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=m - 1), max_size=m))
+    return [[zero if i in zero_rows else
+             sum((left[i][t] * right[t][j] for t in range(k)), zero)
+             for j in range(n)] for i in range(m)], n
+
+
+small_ints = st.integers(min_value=-5, max_value=5)
+INT_CASES = [
+    ([[1, 0], [0, 1], [0, 0]], 2),                 # nullity 0, a zero row, m > n
+    ([[1, 2, 3], [2, 4, 6]], 3),                   # nullity 2
+    ([[0, 0, 0]], 3),                              # only a zero row: nullity 3
+    ([[2, -4, 6, 0], [1, 1, 1, 1], [3, -3, 7, 1]], 4),  # nullity 2
+    ([[1, 1], [1, 1], [2, 2], [0, 0]], 2),         # nullity 1, m > n
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank(small_ints, 0))
+@example(INT_CASES[0])
+@example(INT_CASES[1])
+@example(INT_CASES[2])
+@example(INT_CASES[3])
+@example(INT_CASES[4])
+def test_nullspace_matches_rref_on_fractions(case):
+    M, ncols = case
     basis = nullspace(M, ncols)
-    assert basis == _nullspace_from(R_ref, pivots_ref, ncols)
+    assert basis == _rref_nullspace([[Fraction(v) for v in row] for row in M], ncols)
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+    for v in basis:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in M)
+
+
+def test_nullspace_nullities():
+    assert [len(nullspace(M, n)) for M, n in INT_CASES] == [0, 2, 3, 2, 1]
+    assert nullspace([[3, 6]], 2) == [[Fraction(-2), Fraction(1)]]
+
+
+FIELDS = (-3, -1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_quadratic_field_nullspace_matches_rref_on_scalars(d, data):
+    entry = st.builds(lambda a, b: Scalar(a, b, d), small_ints, small_ints)
+    M, ncols = data.draw(low_rank(entry, Scalar(0)))
+    pairs = [[(int(v.a), int(v.b)) for v in row] for row in M]
+    basis = nullspace(pairs, ncols, d)
+    assert basis == _rref_nullspace(M, ncols)
+    assert all(type(v) is Scalar for vec in basis for v in vec)
     for v in basis:
         assert all(not sum((a * b for a, b in zip(row, v)), Scalar(0)) for row in M)
 

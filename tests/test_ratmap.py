@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from cremona.catalog import CUBIC_TABLE, PSI, PSI_INVERSE, f_ab
 from cremona.errors import NOT_CONTRACTED, NOT_FOUND, ResourceLimit
+from cremona.linalg import mat_inverse
 from cremona.poly import HomPoly, LinearForm, parse_poly
 from cremona.ratmap import (
     JonqElement,
@@ -63,6 +65,81 @@ def test_inverse_not_found_for_non_birational():
     f = parse_ratmap("x^2 : y^2 : z^2")
     assert inverse(f, 1) is NOT_FOUND
     assert inverse(f, 2) is NOT_FOUND
+
+
+def test_inverse_degree_below_one_is_a_value_error():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            inverse(SIGMA, d)
+
+
+W = Scalar(0, 1, -3)
+
+
+def _conjugate(f, M):
+    """L^-1 o f o L for the linear map L of the matrix M."""
+    M = [[Scalar.coerce(v) for v in row] for row in M]
+    return compose(RatMap.from_matrix(mat_inverse(M)), compose(f, RatMap.from_matrix(M)))
+
+
+# Unimodular (det 1) maps over Q(sqrt -3): products of shears by +-sqrt(-3) and 1.
+SQRT_M3_UNIMODULAR = (
+    [[1, W, 0], [0, 1, 0], [0, -W, 1]],
+    [[1, 0, 0], [W, 1, 0], [1, W, 1]],
+    [[1, 1, -W], [0, 1, W], [0, 0, 1]],
+)
+
+
+def test_inverse_over_q_sqrt_minus_3_round_trips():
+    f = f_ab(W, 2)
+    g = inverse(f, 2)
+    assert g is not NOT_FOUND and g.degree == 2
+    assert compose(f, g).is_identity() and compose(g, f).is_identity()
+    for M in SQRT_M3_UNIMODULAR:
+        f = _conjugate(PSI, M)
+        g = inverse(f, 3)
+        assert g is not NOT_FOUND and g.degree == 3
+        assert compose(f, g).is_identity() and compose(g, f).is_identity()
+        assert g == _conjugate(PSI_INVERSE, M)
+
+
+def test_inverse_not_found_over_q_sqrt_minus_3():
+    f = parse_ratmap("x^2 : sqrt(-3)*y^2 : z^2")
+    assert f.components[1].field_disc() == -3
+    assert inverse(f, 2) is NOT_FOUND
+    assert inverse(f, 3) is NOT_FOUND
+
+
+# str(inverse(f, d)) as recorded when the ansatz was solved by rref on
+# Fractions and Scalars: the integer solve must give the same maps term for
+# term, over Q and over Q(sqrt -3), also where the nullspace has dimension
+# two or more (sigma at degree 3, f_ab at degree 3).
+PINNED_INVERSES = [
+    (PSI, 3, "-x*y^2 + y*z^2 : -x*y*z + z^3 : x*z^2"),
+    (CUBIC_TABLE[0], 3, "x*z^2 - y^3 : y*z^2 : z^3"),
+    (CUBIC_TABLE[1], 3, "x*y*z : x*y^2 : z^3"),
+    (CUBIC_TABLE[2], 3, "x^2*z + x*y*z : x*y*z + y^2*z : x*y^2"),
+    (SIGMA, 2, "y*z : x*z : x*y"),
+    (TAU, 2, "x^2 : x*y : -x*z + y^2"),
+    (RHO, 2, "x*y : z^2 : y*z"),
+    (SIGMA, 3, "y*z : x*z : x*y"),
+    (_conjugate(PSI, [[1, 2, -1], [0, 1, 3], [0, 0, 1]]), 3,
+     "x*y^2 + 4*x*y*z - 4*x*z^2 + 2*y^3 + 7*y^2*z - 13*y*z^2 + 3*z^3 : "
+     "x*y*z + 6*x*z^2 + 2*y^2*z + 11*y*z^2 - 7*z^3 : -x*z^2 - 2*y*z^2 + z^3"),
+    (f_ab(W, 2), 2, "x*z : (sqrt(-3))*x^2 + x*y - 2*x*z : y*z"),
+    (f_ab(W, 2), 3, "x*z : (sqrt(-3))*x^2 + x*y - 2*x*z : y*z"),
+    (_conjugate(PSI, SQRT_M3_UNIMODULAR[0]), 3,
+     "(-2/3*sqrt(-3))*x*y^2 + x*y*z + (2 - 2*sqrt(-3))*y^3 + (7 + sqrt(-3))*y^2*z"
+     " + (8/3*sqrt(-3))*y*z^2 - z^3 : x*y^2 + (1/3*sqrt(-3))*x*y*z"
+     " + (3 + sqrt(-3))*y^3 + (-1 + 3*sqrt(-3))*y^2*z - 3*y*z^2 + (-1/3*sqrt(-3))*z^3"
+     " : (2*sqrt(-3))*x*y^2 - 3*x*y*z + (-1/3*sqrt(-3))*x*z^2 + (-6 + 3*sqrt(-3))*y^3"
+     " + (-9 - 3*sqrt(-3))*y^2*z + (1 - 3*sqrt(-3))*y*z^2 + z^3"),
+]
+
+
+@pytest.mark.parametrize("f, d, want", PINNED_INVERSES)
+def test_inverse_outputs_are_pinned(f, d, want):
+    assert str(inverse(f, d)) == want
 
 
 def test_strata():
