@@ -21,7 +21,7 @@ from .dynamics import degree_sequence, growth_classify, stability_probe
 from .errors import NOT_AUTOMORPHISM, NOT_FOUND, CremonaError
 from .polyaut import henon_classify, jung_decompose, parse_polyaut
 from .ratmap import compose, inverse, noether_solve, parse_ratmap, quadratic_classify
-from .weyl import char_poly, group_order_bfs, salem_classify, spectral_radius, standard_element
+from .weyl import _stripped_radius, char_poly, group_order_bfs, salem_classify, standard_element
 
 
 class DomainError(Exception):
@@ -146,13 +146,14 @@ def _cmd_weyl(args):
         raise DomainError("only the standard element is supported; pass --standard")
     M = standard_element(args.n)
     payload = {"n": args.n, "matrix": M}
+    cp = char_poly(M) if args.charpoly or args.classify else None
     if args.charpoly:
-        payload["charpoly"] = char_poly(M)
+        payload["charpoly"] = cp
     if args.classify:
-        rep = salem_classify(char_poly(M))
+        rep = salem_classify(cp)
         payload["salem_class"] = rep.kind
         payload["dominant_root"] = rep.dominant_root
-        payload["spectral_radius"] = spectral_radius(M)
+        payload["spectral_radius"] = _stripped_radius(rep.residual, rep.removed_cyclotomic)
     if args.order:
         payload["group_order"] = group_order_bfs(args.n)
     _emit("weyl", payload)

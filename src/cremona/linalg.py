@@ -205,35 +205,43 @@ def det(A):
 
 
 def charpoly_int(M):
-    """Characteristic polynomial det(tI - M) of a rational matrix whose
-    characteristic polynomial is integral.
+    """Characteristic polynomial det(tI - M) of a square rational matrix
+    whose characteristic polynomial is integral.
 
-    Returns integer coefficients, constant term first, leading coefficient 1,
-    and raises InexactDivision when a coefficient is not an integer. M is
-    scaled by the lcm D of its denominators and Faddeev-LeVerrier runs on
-    the integer matrix DM, whose every intermediate is an integer; the
-    coefficient c_{n-k} of DM is D^k times that of M.
+    Returns integer coefficients, constant term first, leading coefficient 1;
+    raises DimensionMismatch when M is not square and InexactDivision when a
+    coefficient is not an integer. M is scaled by the lcm D of its
+    denominators, and Berkowitz's division-free algorithm (Inf. Proc. Lett.
+    18, 1984) runs on the integer matrix DM, whose coefficient c_{n-k} is
+    D^k times that of M. Bordering the leading r x r block A_r by the column
+    C, the row R and the corner a, the characteristic polynomial of the
+    bordered block is the Toeplitz product of q = [1, -a, -RC, -RA_rC, ...,
+    -RA_r^{r-1}C] with that of A_r. The matrix-vector products behind q are
+    all the work, about n^4/4 multiplications, and no division runs
+    before the final one by D^k.
     """
     n = len(M)
-    Q = [[Fraction(v) for v in row] for row in M]
+    if any(len(row) != n for row in M):
+        raise DimensionMismatch(f"characteristic polynomial of a non-square {n}-row matrix")
+    # an int already has a numerator and a denominator; Fraction() would only cost time
+    Q = [[v if type(v) is int else Fraction(v) for v in row] for row in M]
     D = math.lcm(*(v.denominator for row in Q for v in row))
     A = [[v.numerator * (D // v.denominator) for v in row] for row in Q]
-    coeffs = [1]  # c_n, c_{n-1}, ..., c_0 of DM
-    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        cols = list(zip(*Mk))
-        AM = [[sum(map(mul, row, col)) for col in cols] for row in A]
-        ck, rem = divmod(-sum(AM[i][i] for i in range(n)), k)
-        if rem:
-            raise InexactDivision(f"trace not divisible by {k} in Faddeev-LeVerrier")
-        coeffs.append(ck)
-        for i in range(n):
-            AM[i][i] += ck
-        Mk = AM
+    coeffs = [1]  # c_r, c_{r-1}, ..., c_0 of the leading r x r block of DM
+    for r, R in enumerate(A):
+        block = A[:r]
+        v = [row[r] for row in block]
+        q = [1, -R[r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, row, v)) for row in block]
+            q.append(-sum(map(mul, R, v)))
+        q.reverse()
+        coeffs = [sum(map(mul, q[r + 1 - i:], coeffs)) for i in range(r + 2)]
     out = []
     for k, c in enumerate(coeffs):
-        q, rem = divmod(c, D ** k)
+        c, rem = divmod(c, D ** k)
         if rem:
             raise InexactDivision("characteristic polynomial must be integral")
-        out.append(q)
+        out.append(c)
     return out[::-1]  # constant term first

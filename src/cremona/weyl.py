@@ -7,7 +7,7 @@ basis (e_0, ..., e_n); the quadratic form is x_0^2 - x_1^2 - ... - x_n^2.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 from .errors import BUDGET_EXCEEDED, BadDimension, DimensionMismatch, InexactDivision, NotARoot
@@ -137,6 +137,8 @@ def cyclotomic(d):
     """Integer coefficients of the d-th cyclotomic polynomial, constant first."""
     if d in _cyclo_cache:
         return _cyclo_cache[d]
+    if d < 1:
+        raise ValueError(f"cyclotomic polynomial index must be at least 1, got {d}")
     # x^d - 1 divided by the product of Phi_e over proper divisors e of d
     num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
@@ -162,25 +164,28 @@ def _totient(d):
     return out
 
 
-def strip_cyclotomic(p):
-    """Divide out all cyclotomic factors; returns (residual, removed).
+@functools.cache
+def _cyclotomic_indices(k):
+    """The pairs (d, phi(d)) with phi(d) <= k, d ascending: the cyclotomic
+    polynomials of degree at most k. Since phi(d) >= sqrt(d/2), they all
+    have d <= 2*k^2."""
+    return tuple((d, t) for d in range(1, 2 * k * k + 1) if (t := _totient(d)) <= k)
 
-    Phi_d has degree phi(d) >= sqrt(d/2), so any cyclotomic factor of a
-    degree-k polynomial has d <= 2*k^2; that bounds the search. Phi_d is
-    built and tried only when phi(d) is at most the degree still left.
-    """
+
+def strip_cyclotomic(p):
+    """Divide out all cyclotomic factors; returns (residual, removed), with
+    removed the indices d of the factors Phi_d in ascending order, each as
+    often as it divides. Phi_d is tried only while its degree phi(d) is at
+    most the degree still left."""
     p = list(p)
     removed = []
-    deg0 = len(p) - 1
-    d = 1
-    while d <= 2 * deg0 * deg0 and len(p) > 1:
-        if _totient(d) <= len(p) - 1:
+    for d, t in _cyclotomic_indices(len(p) - 1):
+        while t < len(p):
             q = _intpoly_divmod(p, cyclotomic(d))
-            if q is not None:
-                removed.append(d)
-                p = q
-                continue  # the same factor may divide again
-        d += 1
+            if q is None:
+                break
+            removed.append(d)
+            p = q
     return p, removed
 
 
@@ -250,8 +255,11 @@ def salem_classify(p):
 
 def spectral_radius(M):
     """Largest eigenvalue modulus; exact 1.0 when only cyclotomic factors remain."""
-    cp = char_poly(M)
-    residual, removed = strip_cyclotomic(cp)
+    return _stripped_radius(*strip_cyclotomic(char_poly(M)))
+
+
+def _stripped_radius(residual, removed):
+    """spectral_radius from strip_cyclotomic's (residual, removed)."""
     if len(residual) <= 1:
         return 1.0
     r = max(abs(r) for r in poly_roots_numeric(residual))
@@ -259,20 +267,39 @@ def spectral_radius(M):
 
 
 def group_order_bfs(n, budget=BFS_BUDGET):
-    """Order of W_n as the size of the orbit of v = (0, 1, ..., n).
+    """Order of W_n by orbit-stabilizer: |W_n| = 2 * prod_{k=3..n} |W_k e_k|.
 
-    v pairs with alpha_0 to 6 and with every alpha_j to 1, so it lies in the
-    open fundamental chamber; W acts simply transitively on chambers
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), so the orbit
-    has |W_n| elements. The orbit is closed breadth first under the simple
-    reflections, applied to tuples: alpha_j swaps coordinates j and j+1, and
-    alpha_0 adds s*alpha_0 with s = x0 + x1 + x2 + x3. Returns
-    BUDGET_EXCEEDED once the orbit has more than `budget` elements, as it
-    does for the infinite groups n >= 9.
+    In Z^{1,k}, e_k pairs to 0 with every simple root of W_k but alpha_{k-1}
+    (and alpha_0 when k = 3), so it lies in the closed fundamental chamber
+    and its stabilizer is the parabolic subgroup of those roots (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12 and 5.13): W_{k-1} for
+    k >= 4, and <alpha_1>, of order 2, for k = 3. The orbits have 6, 10,
+    16, 27, 56 and 240 elements for k = 3..8, and are infinite from k = 9.
+    Returns |W_n| when it is at most `budget` and BUDGET_EXCEEDED otherwise;
+    each orbit is closed only up to the size that keeps the running product
+    within the budget.
     """
     if n < 3:
         raise BadDimension("need n >= 3")
-    v = tuple(range(n + 1))
+    order = 2
+    if order > budget:
+        return BUDGET_EXCEEDED
+    for k in range(3, n + 1):
+        size = _orbit_size(tuple(basis_vector(k, k)), budget // order)
+        if size is BUDGET_EXCEEDED:
+            return BUDGET_EXCEEDED
+        order *= size  # at most budget, by the orbit's limit
+    return order
+
+
+def _orbit_size(v, limit):
+    """Size of the orbit of v under W_k, k = len(v) - 1, or BUDGET_EXCEEDED
+    once it has more than `limit` elements. The orbit is closed breadth first
+    under the simple reflections, applied to tuples: alpha_j swaps
+    coordinates j and j+1, and alpha_0 adds s*alpha_0 with
+    s = x0 + x1 + x2 + x3.
+    """
+    k = len(v) - 1
     seen = {v}
     frontier = [v]
     while frontier:
@@ -280,11 +307,11 @@ def group_order_bfs(n, budget=BFS_BUDGET):
         for x in frontier:
             s = x[0] + x[1] + x[2] + x[3]
             images = [(x[0] + s, x[1] - s, x[2] - s, x[3] - s) + x[4:]]
-            images.extend(x[:j] + (x[j + 1], x[j]) + x[j + 2:] for j in range(1, n))
+            images.extend(x[:j] + (x[j + 1], x[j]) + x[j + 2:] for j in range(1, k))
             for y in images:
                 if y not in seen:
                     seen.add(y)
-                    if len(seen) > budget:
+                    if len(seen) > limit:
                         return BUDGET_EXCEEDED
                     nxt.append(y)
         frontier = nxt

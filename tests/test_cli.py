@@ -41,6 +41,24 @@ def test_weyl_classify(capsys):
     assert abs(data["dominant_root"] - 1.17628081) < 1e-6
 
 
+def test_weyl_charpoly_and_classify_share_one_charpoly(capsys, monkeypatch):
+    from cremona import cli, weyl
+
+    calls = []
+
+    def counted(M):
+        calls.append(len(M))
+        return weyl.char_poly(M)
+
+    monkeypatch.setattr(cli, "char_poly", counted)
+    code, data = run_json(capsys, "weyl", "--n", "16", "--standard", "--charpoly", "--classify")
+    assert code == 0 and calls == [17]
+    M = weyl.standard_element(16)
+    assert data["charpoly"] == weyl.char_poly(M)
+    assert data["salem_class"] == "Salem"
+    assert data["spectral_radius"] == weyl.spectral_radius(M)
+
+
 def test_invert_failure_exit_code(capsys):
     code, _ = run(capsys, "invert", "--f", "x^2:y^2:z^2", "--degree", "2")
     assert code == 1

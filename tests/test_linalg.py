@@ -92,6 +92,19 @@ def test_charpoly_int_rational_matrix_with_integral_polynomial():
     assert charpoly_int([]) == [1]
 
 
+@pytest.mark.parametrize("M", [
+    [[1, 2, 3], [4, 5, 6]],  # zip would truncate each row to 2 entries
+    [[1, 2], [3, 4], [5, 6]],
+    [[1, 2, 3]],
+    [[]],
+    [[1, 2], [3]],
+    [[1], [2, 3]],
+])
+def test_charpoly_int_rejects_a_non_square_or_ragged_matrix(M):
+    with pytest.raises(DimensionMismatch):
+        charpoly_int(M)
+
+
 # -- rref: the Fraction fast path against the Scalar path -------------------
 
 @st.composite

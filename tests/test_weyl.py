@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cremona.errors import BUDGET_EXCEEDED
-from cremona.linalg import mat_mul
+from cremona.linalg import charpoly_int, mat_mul
 from cremona.unipoly import _intpoly_divmod, pmul
 from cremona.weyl import (
     BFS_BUDGET,
+    _cyclotomic_indices,
     char_poly,
     cyclic_permutation,
     cyclotomic,
@@ -117,6 +118,32 @@ def test_cyclotomic_polynomials():
     assert cyclotomic(12) == [1, 0, -1, 0, 1]
 
 
+@pytest.mark.parametrize("d", [0, -1, -12])
+def test_cyclotomic_index_below_one_is_an_error(d):
+    with pytest.raises(ValueError):
+        cyclotomic(d)
+    with pytest.raises(ValueError):  # nothing was cached for d
+        cyclotomic(d)
+
+
+def _totients(m):
+    """phi(1..m) by a sieve over the primes: phi[d] for d <= m."""
+    phi = list(range(m + 1))
+    for p in range(2, m + 1):
+        if phi[p] == p:  # p is prime
+            for d in range(p, m + 1, p):
+                phi[d] -= phi[d] // p
+    return phi
+
+
+def test_cyclotomic_indices_match_a_sieve():
+    """Every d with phi(d) <= k, searched up to twice the bound 2 k^2."""
+    phi = _totients(4 * 40 * 40)
+    for k in range(41):
+        want = tuple((d, phi[d]) for d in range(1, len(phi)) if phi[d] <= k)
+        assert _cyclotomic_indices(k) == want
+
+
 def test_poly_roots_refined():
     roots = poly_roots_numeric([1, -3, 1])
     vals = sorted(r.real for r in roots)
@@ -152,6 +179,41 @@ def test_chamber_orbit_order_matches_matrix_bfs(n):
 
 def test_group_order_budget_on_infinite_group():
     assert group_order_bfs(9, budget=2000) is BUDGET_EXCEEDED
+
+
+WEYL_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040, 8: 696729600}
+
+
+@pytest.mark.parametrize("n", sorted(WEYL_ORDERS))
+def test_group_order_budget_is_exact(n):
+    order = WEYL_ORDERS[n]
+    assert group_order_bfs(n, budget=order) == order
+    assert group_order_bfs(n, budget=order - 1) is BUDGET_EXCEEDED
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_infinite_group_exceeds_any_budget_beyond_w8(n):
+    assert group_order_bfs(n, budget=WEYL_ORDERS[8] * 300) is BUDGET_EXCEEDED
+
+
+def _coxeter_charpoly(n):
+    """McMullen's t^(n+1) - t^(n-1) - t^(n-2) + t^3 + t^2 - 1, constant first."""
+    c = [0] * (n + 2)
+    for e, v in ((n + 1, 1), (n - 1, -1), (n - 2, -1), (3, 1), (2, 1), (0, -1)):
+        c[e] += v
+    return c
+
+
+@pytest.mark.parametrize("n", range(10, 18))
+def test_charpoly_of_weyl_conjugates_is_mcmullens_closed_form(n):
+    rng = random.Random(n)
+    refl = [reflection_matrix(a) for a in simple_roots(n)]
+    M = standard_element(n)
+    assert charpoly_int(M) == _coxeter_charpoly(n)
+    for _ in range(12):
+        R = refl[rng.randrange(n)]
+        M = mat_mul(mat_mul(R, M), R)
+    assert charpoly_int(M) == _coxeter_charpoly(n)
 
 
 def _strip_every_d(p):
