@@ -19,6 +19,7 @@ import sys
 from . import __version__, catalog, numerics
 from .dynamics import degree_sequence, growth_classify, stability_probe
 from .errors import NOT_AUTOMORPHISM, NOT_FOUND, CremonaError
+from .poly import _field_of
 from .polyaut import henon_classify, jung_decompose, parse_polyaut
 from .ratmap import compose, inverse, noether_solve, parse_ratmap, quadratic_classify
 from .weyl import _stripped_radius, char_poly, group_order_bfs, salem_classify, standard_element
@@ -26,15 +27,6 @@ from .weyl import _stripped_radius, char_poly, group_order_bfs, salem_classify, 
 
 class DomainError(Exception):
     """Raised for well-formed requests whose answer is a failure value."""
-
-
-def _field_discriminant(*maps):
-    for f in maps:
-        for c in f.components:
-            for v in c.terms.values():
-                if v.b:
-                    return v.d
-    return 0
 
 
 def _emit(command, payload, field_d=0):
@@ -58,7 +50,7 @@ def _cmd_map_info(args):
         "degree": f.degree,
         "is_identity": f.is_identity(),
         "removed_factor": str(f.removed_factor) if f.removed_factor else None,
-    }, _field_discriminant(f))
+    }, _field_of(f.components))
 
 
 def _cmd_compose(args):
@@ -69,7 +61,7 @@ def _cmd_compose(args):
         "map": str(h),
         "degree": h.degree,
         "is_identity": h.is_identity(),
-    }, _field_discriminant(f, g, h))
+    }, _field_of(f.components + g.components + h.components))
 
 
 def _cmd_invert(args):
@@ -78,7 +70,7 @@ def _cmd_invert(args):
     if g is NOT_FOUND:
         raise DomainError(f"NotFound: no inverse of degree {args.degree}")
     _emit("invert", {"map": str(g), "degree": g.degree},
-          _field_discriminant(f, g))
+          _field_of(f.components + g.components))
 
 
 def _cmd_classify_quadratic(args):
@@ -90,7 +82,7 @@ def _cmd_classify_quadratic(args):
         "contraction_targets": [_point(p) for p in qc.contraction_targets],
         "ind_points": [_point(p) for p in qc.ind_points],
         "field_obstructed": qc.field_obstructed,
-    }, _field_discriminant(f))
+    }, _field_of(f.components))
 
 
 def _cmd_growth(args):
@@ -109,7 +101,7 @@ def _cmd_growth(args):
         "label": cls.label,
         "lambda_estimate": cls.lambda_estimate,
         "evidence": cls.evidence,
-    }, _field_discriminant(f))
+    }, _field_of(f.components))
 
 
 def _cmd_stability(args):
@@ -122,7 +114,7 @@ def _cmd_stability(args):
             for (t, k, p) in rep.collisions
         ],
         "no_obstruction": not rep.collisions,
-    }, _field_discriminant(f))
+    }, _field_of(f.components))
 
 
 def _cmd_jung(args):

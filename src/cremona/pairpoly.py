@@ -50,6 +50,9 @@ class PairPoly:
         self.terms = terms
         self.e = e
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __add__(self, other):
         out = dict(self.terms)
         for k, (a, b) in other.terms.items():

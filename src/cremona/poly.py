@@ -8,17 +8,18 @@ an image: `substitute` on HomPolys, `BiPoly.subst` on BiPolys, the ansatz
 images of `ratmap.inverse` on int pairs (`_chart_images`), and
 `compose_reduce` on its integer or int-pair charts.
 
-Composition and gcd work in the affine chart z = 1.  Over Q, triples are
-scaled to integer coefficients and become sympy Polys over ZZ in (x, y), the
-only use of sympy, imported on first use: `compose_reduce` divides out their
-integer content only, and it, `reduce_triple` and `poly_gcd` take the common
-factor and the reduced components from gcd cofactors, without polynomial
-exact division.  Over Q(sqrt(d)), d is a squarefree int (see `scalars`), so
-triples scale to coefficients A + B*sqrt(d) with A, B ints;
-`compose_reduce` substitutes on those pairs, and the common factor comes
-from the modular gcd of `pairpoly`, which is certified by trial division,
-whose quotients are the components.  `parse_poly` reads the input grammar
-with `ast` and evaluates it without Python's `eval`.
+Composition, gcd and exact division share one layer in the chart z = 1:
+`_chart` scales forms by their least common denominator to dicts of int
+pairs (A, B) for A + B*sqrt(d), with B = 0 over Q (d is a squarefree int,
+see `scalars`), and `_from_chart` rehomogenizes one divided by a scale.
+Two gcd kernels return the monic gcd and the quotients of their inputs by
+it as charts: over Q, gcd cofactors of sympy Polys over ZZ
+(`_common_factor`, the only use of sympy, imported on first use); over
+Q(sqrt(d)), the modular gcd of `pairpoly`, certified by trial division.
+`_divide_out` turns either answer into components and a removed factor for
+`compose_reduce`, `reduce_triple` and `poly_gcd`, and `divide_exact` is
+`pairpoly`'s trial division on two charts.  `parse_poly` reads the input
+grammar with `ast` and evaluates it without Python's `eval`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     InexactDivision,
     NOT_FULLY_SPLIT,
 )
-from .pairpoly import PairPoly, gcd_cofactors
+from .pairpoly import PairPoly, _divide, _monic, gcd_cofactors
 from .scalars import Scalar, _radical
 from .unipoly import padd, pdegree, pdivmod, pgcd, pmul, pstrip
 
@@ -159,6 +160,8 @@ class HomPoly:
     mul_ground = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
         r = HomPoly.constant(1)
         base = self
         while k:
@@ -277,180 +280,60 @@ def jacobian_det(triple):
 
 
 def divide_exact(p, q):
-    """Quotient p/q when q divides p exactly, else None."""
+    """Quotient p/q when q divides p exactly, else None.
+
+    The z = 1 charts divide by `pairpoly._divide`, the trial division that
+    certifies the modular gcd, on both fields; the chart quotient is p/q
+    when z divides p at least as often as it divides q.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return HomPoly.zero(max(p.degree - q.degree, 0))
-    if p.degree < q.degree:
+    if p.min_exponent(2) < q.min_exponent(2):
         return None
-    lt_e, lt_c = q.leading()
-    rem = p
-    quot = HomPoly.zero(p.degree - q.degree)
-    while rem:
-        re_, rc = rem.leading()
-        diff = (re_[0] - lt_e[0], re_[1] - lt_e[1], re_[2] - lt_e[2])
-        if any(d < 0 for d in diff):
-            return None
-        t = HomPoly.monomial(rc / lt_c, diff)
-        quot = quot + t
-        rem = rem - t * q
-    return quot
+    field_d = _field_of([p, q])
+    _den, (hp, hq) = _chart([p, q])  # hp / hq = p / q
+    a, b = hq[max(hq)]
+    quot = _divide(hp, _monic(hq, field_d), field_d)  # hp * (a + b*sqrt(d)) / hq
+    if quot is None:
+        return None
+    t, s = quot
+    # 1 / (a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2)
+    return _from_chart(PairPoly(t, field_d).mul_ground((a, -b)).terms,
+                       s * (a * a - field_d * b * b), field_d, p.degree - q.degree)
 
 
-# -- the integer chart: sympy Polys over ZZ in (x, y) at z = 1 -------------
-
-@functools.cache
-def _zz():
-    """sympy's Poly, ZZ and the symbols x, y, imported on first use."""
-    import sympy
-
-    return sympy.Poly, sympy.ZZ, sympy.symbols("x y")
-
-
-def _poly2(terms):
-    """Dehomogenized (z = 1) Poly over ZZ of a dict of int coefficients on
-    exponent triples."""
-    Poly, ZZ, gens = _zz()
-    return Poly.from_dict({(i, j): c for (i, j, _k), c in terms.items()}, *gens, domain=ZZ)
-
-
-def _from_sympy2(pol, degree, den=1):
-    """Rehomogenize a Poly over ZZ, divided by den, to a HomPoly of the
-    given degree."""
-    terms = {
-        (i, j, degree - i - j): Scalar(Fraction(co, den))
-        for (i, j), co in pol.as_dict(native=True).items()
-    }
-    return HomPoly._clean(terms, degree)
-
-
-def _integer_terms(polys):
-    """(den, term dicts of den * p for each p): den is the lcm of all the
-    denominators of the rational polys."""
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            den = math.lcm(den, c.a.denominator)
-    return den, [
-        {e: c.a.numerator * (den // c.a.denominator) for e, c in p.terms.items()}
-        for p in polys
-    ]
-
-
-def _common_factor(hs, one):
-    """gcd g of nonzero Polys over ZZ and the quotients h / monic(g).
-
-    The quotients come from gcd cofactors rather than exact division: the
-    cofactors of (g, h) give the new gcd, h's cofactor, and the factor by
-    which the earlier cofactors grow when the gcd shrinks.  h / monic(g) is
-    lc(g) * (h / g).
-    """
-    g = hs[0]
-    cofs = [one]
-    for h in hs[1:]:
-        if g.is_ground:
-            break
-        g, shrink, cof = g.cofactors(h)
-        if not shrink.is_one:
-            cofs = [c * shrink for c in cofs]
-        cofs.append(cof)
-    if g.is_ground:
-        return g, hs
-    lead = g.LC()
-    return g, [c.mul_ground(lead) for c in cofs]
-
+# -- the z = 1 chart on int pairs ---------------------------------------------
 
 def _field_of(polys):
-    for p in polys:
-        if not p.is_zero() and p.field_disc():
-            return p.field_disc()
-    return 0
+    """The d of Q(sqrt(d)) of the irrational coefficients, 0 over Q;
+    IncompatibleField when they lie in two fields."""
+    ds = {c.d for p in polys for c in p.terms.values()} - {0}
+    if len(ds) > 1:
+        raise IncompatibleField(" vs ".join(f"sqrt({d})" for d in sorted(ds)))
+    return ds.pop() if ds else 0
 
 
-def reduce_triple(raws):
-    """Divide a homogeneous triple by its common factor.
-
-    Returns (components, common_factor) where the factor is None when the
-    triple was already coprime.
-    """
-    raws = list(raws)
-    nonzero = [p for p in raws if not p.is_zero()]
-    g, quotients = _chart_gcd(nonzero)
-    if g is None:
-        return raws, None
-    it = iter(quotients)
-    return [HomPoly.zero(nonzero[0].degree - g.degree) if p.is_zero() else next(it)
-            for p in raws], g
-
-
-def poly_gcd(p, q):
-    """Monic greatest common divisor of two homogeneous ternary forms."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    g, _ = _chart_gcd([p, q])
-    return HomPoly.constant(1) if g is None else g
-
-
-def _chart_gcd(nonzero):
-    """(g, [p / g for each p]) for nonzero forms with the monic gcd g, or
-    (None, the forms) when g is 1.
-
-    g is the gcd of the z = 1 charts times the least power of z in the
-    forms.  Over Q it comes from gcd cofactors over ZZ, as in
-    `compose_reduce`, over Q(sqrt(d)) from the modular gcd of `pairpoly`;
-    either way the scale that made the coefficients integral is undone on
-    the quotients.
-    """
-    zmin = min(p.min_exponent(2) for p in nonzero)
-    field_d = _field_of(nonzero)
-    if field_d:
-        den = _pair_scale(nonzero)
-        (g, gden), quotients = gcd_cofactors([_pair_terms(p, den) for p in nonzero], field_d)
-        gdeg = _total_degree(g) + zmin
-        if not gdeg:
-            return None, nonzero
-        return _pairs_to_hom(g, gden, field_d, gdeg), [
-            _pairs_to_hom(q, s * den, field_d, p.degree - gdeg)
-            for (q, s), p in zip(quotients, nonzero)]
-    den, terms = _integer_terms(nonzero)
-    g, quotients = _common_factor([_poly2(t) for t in terms], _poly2({(0, 0, 0): 1}))
-    gdeg = g.total_degree() + zmin
-    if not gdeg:
-        return None, nonzero
-    return _from_sympy2(g, gdeg).monic(), [
-        _from_sympy2(q, p.degree - gdeg, den) for q, p in zip(quotients, nonzero)]
-
-
-# -- Q(sqrt(d)) on int pairs ----------------------------------------------
-
-def _pair_scale(polys):
-    """A common denominator of a and b over every coefficient a + b*sqrt(d)
-    of the polys."""
+def _chart(polys):
+    """(den, [chart of den * p for each p]): den is the least common
+    denominator of every a and b in the coefficients a + b*sqrt(d), and a
+    chart is the z = 1 dict {(i, j): (A, B)} of ints standing for
+    A + B*sqrt(d), with B = 0 over Q."""
     den = 1
     for p in polys:
         for c in p.terms.values():
             den = math.lcm(den, c.a.denominator, c.b.denominator)
-    return den
-
-
-def _pair_terms(p, den, keys=lambda e: e[:2]):
-    """Terms of den * p as int pairs (A, B) for A + B*sqrt(d), keyed by
-    keys(exponent triple): by default the z = 1 chart (i, j)."""
-    return {
-        keys(e): (c.a.numerator * (den // c.a.denominator),
+    return den, [
+        {(i, j): (c.a.numerator * (den // c.a.denominator),
                   c.b.numerator * (den // c.b.denominator))
-        for e, c in p.terms.items()
-    }
+         for (i, j, _k), c in p.terms.items()}
+        for p in polys
+    ]
 
 
-def _pairs_to_hom(terms, den, field_d, degree):
-    """HomPoly of the given degree from z = 1 pair terms standing for
-    (A + B*sqrt(d)) / den."""
+def _from_chart(terms, den, field_d, degree):
+    """The HomPoly of the given degree whose z = 1 chart is terms / den."""
     return HomPoly._clean({
         (i, j, degree - i - j): Scalar(Fraction(a, den), Fraction(b, den), field_d)
         for (i, j), (a, b) in terms.items()
@@ -461,38 +344,103 @@ def _total_degree(terms):
     return max(i + j for i, j in terms)
 
 
-def _compose_pairs(fcomps, gcomps, field_d, df, bigdeg):
-    """compose_reduce over Q(sqrt(d)), on int pairs (see `pairpoly`)."""
-    sf = _pair_scale(fcomps)
-    sg = _pair_scale(gcomps)
-    fterms = [_pair_terms(p, sf, keys=tuple) for p in fcomps]
-    gs = [PairPoly(_pair_terms(p, sg), field_d) for p in gcomps]
-    one, zero = PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d)
-    hs = _substitute2(fterms, gs, one, zero)
-    nonzero = [h.terms for h in hs if h.terms]
-    if not nonzero:
-        return [HomPoly.zero(0)] * 3, None
-    scale = sf * sg ** df  # each h is scale * f_i(g)
-    zpow = bigdeg - max(_total_degree(h) for h in nonzero)
-    (g, gden), quotients = gcd_cofactors(nonzero, field_d)
-    gdeg = _total_degree(g)
-    if gdeg == 0 and zpow == 0:
-        newdeg, ghom = bigdeg, None
+@functools.cache
+def _zz():
+    """sympy's Poly, ZZ and the symbols x, y, imported on first use."""
+    import sympy
+
+    return sympy.Poly, sympy.ZZ, sympy.symbols("x y")
+
+
+def _poly2(terms):
+    """The Poly over ZZ in (x, y) of a chart over Q."""
+    Poly, ZZ, gens = _zz()
+    return Poly.from_dict({k: a for k, (a, _b) in terms.items()}, *gens, domain=ZZ)
+
+
+def _pairs(pol, lead=1):
+    """Chart of lead * pol for a Poly over ZZ."""
+    return {k: (v * lead, 0) for k, v in pol.as_dict(native=True).items()}
+
+
+def _common_factor(hs):
+    """The gcd kernel over Q, on nonzero Polys over ZZ, with the contract of
+    `pairpoly.gcd_cofactors`: ((g, gden), [(q, s), ...]) as charts, g / gden
+    the monic gcd and q / s the quotient of each h by it.
+
+    The quotients come from gcd cofactors rather than exact division: the
+    cofactors of (g, h) give the new gcd, h's cofactor, and the factor by
+    which the earlier cofactors grow when the gcd shrinks.  h / monic(g) is
+    lc(g) * (h / g).
+    """
+    g = hs[0]
+    cofs = [g.one]
+    for h in hs[1:]:
+        if g.is_ground:
+            break
+        g, shrink, cof = g.cofactors(h)
+        if not shrink.is_one:
+            cofs = [c * shrink for c in cofs]
+        cofs.append(cof)
+    if g.is_ground:
+        return ({(0, 0): (1, 0)}, 1), [(_pairs(h), 1) for h in hs]
+    lead = int(g.LC())
+    return (_pairs(g), lead), [(_pairs(c, lead), 1) for c in cofs]
+
+
+def _divide_out(factored, den, field_d, degrees):
+    """(components, factor) of forms of the given degrees from a chart gcd
+    ((g, gden), [(q, s), ...]) of their charts scaled by den.
+
+    Each component is q / (s * den), rehomogenized.  The factor is g / gden
+    times the greatest power of z dividing every form, or None when it is 1.
+    Its degree is read off the quotients: a form of degree n whose quotient
+    has chart degree m leaves n - m to g and z, the least over the forms.
+    """
+    (g, gden), quotients = factored
+    gdeg = min(n - _total_degree(q) for (q, _s), n in zip(quotients, degrees))
+    comps = [_from_chart(q, s * den, field_d, n - gdeg)
+             for (q, s), n in zip(quotients, degrees)]
+    return comps, (_from_chart(g, gden, field_d, gdeg) if gdeg else None)
+
+
+def _reduce(forms):
+    """`_divide_out` for nonzero forms on their own charts."""
+    field_d = _field_of(forms)
+    den, charts = _chart(forms)
+    if field_d:
+        factored = gcd_cofactors(charts, field_d)
     else:
-        newdeg = bigdeg - zpow - gdeg
-        ghom = _pairs_to_hom(g, gden, field_d, zpow + gdeg)
-    if len(nonzero) == 1 and gdeg:  # a lone component is its own gcd, as over ZZ
-        quotients = [({(0, 0): (1, 0)}, 1)]
-        scale = 1
-    it = iter(quotients)
-    comps = []
-    for h in hs:
-        if h.terms:
-            q, s = next(it)
-            comps.append(_pairs_to_hom(q, s * scale, field_d, newdeg))
-        else:
-            comps.append(HomPoly.zero(newdeg))
-    return comps, ghom
+        factored = _common_factor([_poly2(t) for t in charts])
+    return _divide_out(factored, den, field_d, [p.degree for p in forms])
+
+
+def reduce_triple(raws):
+    """Divide a homogeneous triple by its common factor.
+
+    Returns (components, common_factor) where the factor is None when the
+    triple was already coprime.
+    """
+    raws = list(raws)
+    if not any(raws):
+        raise ValueError("reduce_triple of three zero forms")
+    comps, g = _reduce([p for p in raws if p])
+    if g is None:
+        return raws, None
+    it = iter(comps)
+    return [next(it) if p else HomPoly.zero(comps[0].degree) for p in raws], g
+
+
+def poly_gcd(p, q):
+    """Monic greatest common divisor of two homogeneous ternary forms."""
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd of two zero polynomials")
+    if p.is_zero():
+        return q.monic()
+    if q.is_zero():
+        return p.monic()
+    g = _reduce([p, q])[1]
+    return HomPoly.constant(1) if g is None else g
 
 
 def _substitute2(fterms, gs, one, zero):
@@ -538,8 +486,7 @@ def _chart_images(mons, comps):
     sympy's Polys over ZZ.
     """
     field_d = _field_of(comps)
-    den = _pair_scale(comps)
-    gs = [PairPoly(_pair_terms(p, den), field_d) for p in comps]
+    gs = [PairPoly(t, field_d) for t in _chart(comps)[1]]
     hs = _substitute2([{m: (1, 0)} for m in mons], gs,
                       PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d))
     if field_d:
@@ -551,16 +498,16 @@ def compose_reduce(fcomps, gcomps):
     """Substitute the triple g into each component of f and strip the
     common factor.  Returns (components, common_factor_or_None).
 
-    Works in the affine chart z = 1 (everything is homogeneous, so the
-    bivariate computation plus degree bookkeeping loses nothing) for a
-    much smaller dense representation.  Over Q both triples are scaled to
-    integer coefficients and composed as sympy Polys over ZZ, the joint
-    integer content is divided out, and the common factor and the reduced
-    components come from gcd cofactors, with no polynomial exact division.
-    Over Q(sqrt(d)) both triples are scaled to int pairs A + B*sqrt(e) and
-    composed on those, and the common factor and the quotients come from
-    the certified modular gcd of `pairpoly`.  On both, the components are
-    h / g for the gcd g made monic in lex order with x > y.
+    Both triples go to their z = 1 charts on int pairs (`_chart`; nothing
+    is lost, since everything is homogeneous), f's chart is substituted
+    with g's, and `_divide_out` takes the common factor and the components
+    from a gcd kernel that also returns the quotients, with no polynomial
+    exact division.  The kernel is picked by the field: over Q, sympy's
+    Polys over ZZ substitute and take gcd cofactors (`_common_factor`),
+    and the joint integer content is divided out first; over Q(sqrt(d)),
+    PairPolys substitute and the modular gcd of `pairpoly` is certified by
+    trial division, whose quotients are the components.  On both, the
+    components are h / g for the gcd g made monic in lex order with x > y.
     """
     if all(len(p.terms) == 1 for p in fcomps) and \
             all(len(p.terms) == 1 for p in gcomps):
@@ -569,34 +516,37 @@ def compose_reduce(fcomps, gcomps):
     dg = next(p.degree for p in gcomps if not p.is_zero())
     df = next(p.degree for p in fcomps if not p.is_zero())
     bigdeg = df * dg
+    sf, fcharts = _chart(fcomps)
+    sg, gcharts = _chart(gcomps)
     if field_d:
-        return _compose_pairs(fcomps, gcomps, field_d, df, bigdeg)
-    gs = [_poly2(t) for t in _integer_terms(gcomps)[1]]
-    one, zero = _poly2({(0, 0, 0): 1}), _poly2({})
-    hs = _substitute2(_integer_terms(fcomps)[1], gs, one, zero)
-    nonzero = [h for h in hs if not h.is_zero]
+        gs = [PairPoly(t, field_d) for t in gcharts]
+        one, zero = PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d)
+    else:  # over ZZ sympy's Polys substitute faster at these degrees
+        gs = [_poly2(t) for t in gcharts]
+        one, zero = _poly2({(0, 0): (1, 0)}), _poly2({})
+        fcharts = [{k: a for k, (a, _b) in t.items()} for t in fcharts]
+    hs = _substitute2([{(i, j, df - i - j): c for (i, j), c in t.items()} for t in fcharts],
+                      gs, one, zero)
+    nonzero = [h for h in hs if h]
     if not nonzero:
         return [HomPoly.zero(0)] * 3, None
-    content = 0
-    for h in nonzero:
-        content = math.gcd(content, int(h.content()))
-    if content > 1:
-        nonzero = [h.exquo_ground(content) for h in nonzero]
-    # common z-power: bigdeg minus the top bivariate degree present
-    zpow = bigdeg - max(h.total_degree() for h in nonzero)
-    g, quotients = _common_factor(nonzero, one)
-    gdeg = g.total_degree()
-    if gdeg == 0 and zpow == 0:
-        newdeg, ghom = bigdeg, None
-    else:
-        newdeg = bigdeg - zpow - gdeg
-        ghom = _from_sympy2(g, zpow + gdeg).monic()
-    if len(nonzero) == 1 and gdeg:  # a lone component is its own gcd
-        quotients = [one]
-    it = iter(quotients)
-    comps = [HomPoly.zero(newdeg) if h.is_zero else _from_sympy2(next(it), newdeg)
-             for h in hs]
-    return comps, ghom
+    if field_d:
+        factored = gcd_cofactors([h.terms for h in nonzero], field_d)
+        scale = sf * sg ** df  # each h is scale * f_i(g)
+    else:  # over Q the components drop the scale and the joint integer content
+        content = 0
+        for h in nonzero:
+            content = math.gcd(content, int(h.content()))
+        if content > 1:
+            nonzero = [h.exquo_ground(content) for h in nonzero]
+        factored = _common_factor(nonzero)
+        scale = 1
+    gcd, quotients = factored
+    if len(nonzero) == 1 and max(gcd[0]) != (0, 0):  # a lone component is its own gcd
+        quotients, scale = [({(0, 0): (1, 0)}, 1)], 1
+    comps, factor = _divide_out((gcd, quotients), scale, field_d, [bigdeg] * len(nonzero))
+    it = iter(comps)
+    return [next(it) if h else HomPoly.zero(comps[0].degree) for h in hs], factor
 
 
 def _compose_monomials(fcomps, gcomps):
@@ -1044,6 +994,8 @@ class BiPoly:
     mul_ground = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
         r = BiPoly.coerce(1)
         base = self
         while k:

@@ -18,6 +18,7 @@ from .poly import (
     HomPoly,
     LinearForm,
     _chart_images,
+    _field_of,
     compose_reduce,
     factor_linear_cubic,
     field_roots,
@@ -368,11 +369,7 @@ def indeterminacy_points_quadratic(f):
     """Common zeros of the component conics; returns (points, obstructed)."""
     if f.degree != 2:
         raise ValueError("map must be quadratic")
-    field_d = 0
-    for c in f.components:
-        if c.field_disc() != 0:
-            field_d = c.field_disc()
-            break
+    field_d = _field_of(f.components)
     pts = []
     obstructed = False
 

@@ -64,6 +64,8 @@ def pmul(p, q, zero=SZERO):
 
 
 def ppow(p, k, zero=SZERO, one=SONE):
+    if k < 0:
+        raise ValueError(f"negative power {k} of a polynomial")
     r = [one]
     base = list(p)
     while k:

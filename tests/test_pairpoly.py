@@ -1,11 +1,12 @@
 """The modular gcd over Q(sqrt d) against sympy's algebraic-field gcd.
 
 `pairpoly.gcd_cofactors` serves `compose`, `reduce_triple` and `poly_gcd`
-over Q(sqrt d).  The reference is sympy's `Poly.gcd`/`cofactors` over
+over Q(sqrt d), and its trial division serves `divide_exact` on both
+fields.  The reference is sympy's `Poly.gcd`/`cofactors`/`div` over
 QQ.algebraic_field(sqrt(d)), with polynomials converted through sympy
 expressions, so no conversion code of `cremona.poly` is used by it.  With
-d = 0 the same tests check `reduce_triple` and `poly_gcd` over Q, against
-sympy over QQ.
+d = 0 the same tests check `reduce_triple`, `poly_gcd` and `divide_exact`
+over Q, against sympy over QQ.
 """
 
 from fractions import Fraction
@@ -16,10 +17,17 @@ from hypothesis import given, settings, strategies as st
 
 from cremona import pairpoly
 from cremona.catalog import E_INVOLUTION, SIGMA, TAU, f_ab
-from cremona.errors import ResourceLimit
+from cremona.errors import IncompatibleField, ResourceLimit
 from cremona.linalg import det
 from cremona.pairpoly import PairPoly, gcd_cofactors
-from cremona.poly import HomPoly, poly_gcd, reduce_triple, substitute
+from cremona.poly import (
+    HomPoly,
+    compose_reduce,
+    divide_exact,
+    poly_gcd,
+    reduce_triple,
+    substitute,
+)
 from cremona.ratmap import RatMap, compose
 from cremona.scalars import Scalar
 
@@ -302,3 +310,68 @@ def test_compose_over_sqrt_m3_matches_sympy_reduction(f, g, swap):
     ref_comps, ref_g = ref
     assert _hom_poly(h.removed_factor, d) == ref_g
     assert [_hom_poly(c, d) for c in h.components if not c.is_zero()] == ref_comps
+
+
+def test_lone_component_composes_to_one_times_its_monic_form():
+    # compose keeps this representative of (h : 0 : 0): the component 1
+    # and the removed factor monic(h o g)
+    x, y, z = (HomPoly.var(v) for v in "xyz")
+    zero = HomPoly.zero(2)
+    for r in (Scalar(1), SQRT_M3):
+        h = HomPoly({(2, 0, 0): r, (1, 1, 0): Fraction(3, 2), (0, 1, 1): Fraction(-5, 7)})
+        for g in ((x, y, z), (x * 3 + y * r, y, z * 2)):
+            comps, factor = compose_reduce((h, zero, zero), g)
+            assert comps == [HomPoly.constant(1), HomPoly.zero(0), HomPoly.zero(0)]
+            assert [c.degree for c in comps] == [0, 0, 0]
+            assert factor == substitute(h, g).monic()
+        assert compose_reduce((h, zero, zero), (x, y, z))[1] == h.monic()
+
+
+def test_compose_over_two_fields_is_an_error():
+    # a chart reads every B of A + B*sqrt(d) as a multiple of one sqrt(d)
+    x, y, z = (HomPoly.var(v) for v in "xyz")
+    f = RatMap((x * x * Scalar(0, 1, 2) + y * z, x * y, x * z))
+    g = RatMap((x * SQRT_M3 + y, y, z))
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(IncompatibleField):
+            compose(a, b)
+
+
+# -- divide_exact against sympy's div ------------------------------------------------
+
+DIVISION_FIELDS = (Fraction(0), Fraction(-3), Fraction(2), Fraction(-1))
+
+
+def _check_division(p, q, d):
+    """divide_exact(p, q) is sympy's quotient when its remainder is 0, else None."""
+    quot = divide_exact(p, q)
+    ref, rem = _hom_poly(p, d).div(_hom_poly(q, d))
+    if rem.is_zero:
+        assert quot is not None and _hom_poly(quot, d) == ref
+        assert quot.degree == max(p.degree - q.degree, 0)
+    else:
+        assert quot is None
+    return quot
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(DIVISION_FIELDS), st.data())
+def test_divide_exact_matches_sympy_div(d, data):
+    p = data.draw(hom_polys(d, data.draw(st.integers(min_value=0, max_value=2))))
+    q = data.draw(hom_polys(d, data.draw(st.integers(min_value=0, max_value=2))))
+    if q.is_zero():
+        q = HomPoly.var("x") + HomPoly.var("y") * Scalar(1, 1, d)
+    r = data.draw(hom_polys(d, p.degree + q.degree))
+    z = HomPoly.var("z")
+    # exact products give p back
+    assert _check_division(p * q, q, d) == p
+    # p q + r divides only when q divides r
+    _check_division(p * q + r, q, d)
+    # the charts of q and q z agree, so only z's exponent tells them apart
+    quot = _check_division(p * q, q * z, d)
+    if p and not p.min_exponent(2):
+        assert quot is None
+    # constant divisors
+    c = data.draw(hom_polys(d, 0))
+    if c:
+        assert _check_division(p, c, d) == p * c.terms[(0, 0, 0)].inverse()

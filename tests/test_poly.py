@@ -21,6 +21,7 @@ from cremona.poly import (
     substitute,
 )
 from cremona.scalars import Scalar
+from cremona.unipoly import ppow
 
 X, Y, Z = (HomPoly.var(v) for v in "xyz")
 
@@ -134,3 +135,21 @@ def test_factor_linear_cubic_quotient_is_a_typed_error(monkeypatch):
                         lambda p, field_d: LinearForm([1, 1, 1]))
     with pytest.raises(InexactDivision):
         factor_linear_cubic(X * Y + Z * Z)
+
+
+def test_negative_homogeneous_power_is_rejected():
+    # -1 >> 1 == -1, so square-and-multiply never ended on k = -1
+    with pytest.raises(ValueError):
+        (X + Y) ** -1
+    assert (X + Y) ** 0 == HomPoly.constant(1)
+
+
+def test_negative_bivariate_power_is_rejected():
+    with pytest.raises(ValueError):
+        (BiPoly.var("x") + 1) ** -1
+
+
+def test_negative_univariate_power_is_rejected():
+    with pytest.raises(ValueError):
+        ppow([Scalar(1), Scalar(1)], -1)
+    assert ppow([Scalar(1), Scalar(1)], 2) == [Scalar(1), Scalar(2), Scalar(1)]
