@@ -264,10 +264,6 @@ def p_nm(n, m):
     return padd(quo, [1])
 
 
-def lehmer():
-    return list(LEHMER)
-
-
 def bk_matrix(n):
     """(n+4) x (n+4) action matrix of f_ab on the basis
     {H, E1, E2, Q, f(Q), ..., f^n(Q)}; its dominant eigenvalue is the

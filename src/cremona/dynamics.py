@@ -168,12 +168,6 @@ def growth_classify(seq, map_equality_oracle=None):
     return GrowthClass(label, lam, evidence)
 
 
-def growth_classify_map(f, N=None):
-    """Convenience wrapper: degree_sequence + growth_classify in one call."""
-    seq = degree_sequence(f, N)
-    return growth_classify(seq), seq
-
-
 def contraction_targets(f):
     """Images of the contracted det-jacobian lines of f.
 

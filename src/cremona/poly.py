@@ -5,8 +5,10 @@ degree forms into linear factors.
 Every substitution runs through `_substitute2`, which builds each monomial
 of the substituted polynomial once, as one product of a lower monomial with
 an image: `substitute` on HomPolys, `BiPoly.subst` on BiPolys, the ansatz
-images of `ratmap.inverse` on int pairs (`_chart_images`), and
-`compose_reduce` on its integer or int-pair charts.
+images of `ratmap.inverse` on int pairs (`_chart_images`),
+`compose_reduce` on its integer or int-pair charts, `restrict_to_line` on
+linear forms in (s, t), and the search for linear factors of
+`factor_linear_cubic` on BiPolys in (t, gamma) for a pencil of lines.
 
 Composition, gcd and exact division share one layer in the chart z = 1:
 `_chart` scales forms by their least common denominator to dicts of int
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .pairpoly import PairPoly, _divide, _monic, gcd_cofactors
 from .scalars import Scalar, _radical
-from .unipoly import padd, pdegree, pdivmod, pgcd, pmul, pstrip
+from .unipoly import pdegree, pdivmod, pgcd, pstrip
 
 SZERO = Scalar(0)
 SONE = Scalar(1)
@@ -190,12 +192,6 @@ class HomPoly:
         acc = SZERO
         for (i, j, k), c in self.terms.items():
             acc = acc + c * point[0] ** i * point[1] ** j * point[2] ** k
-        return acc
-
-    def eval_complex(self, point):
-        acc = 0j
-        for (i, j, k), c in self.terms.items():
-            acc += c.to_complex() * point[0] ** i * point[1] ** j * point[2] ** k
         return acc
 
     def min_exponent(self, axis):
@@ -629,7 +625,8 @@ def parametrize_line(L):
     """Two spanning points of {L = 0}, as a map (s, t) -> P^2.
 
     Returns a triple of coefficient pairs ((p0, q0), (p1, q1), (p2, q2))
-    meaning coordinate i equals p_i * s + q_i * t.
+    meaning coordinate i equals p_i * s + q_i * t.  The first nonzero
+    coefficient of L is 1, so the points need no division.
     """
     a = L.coeffs
     idx = next(i for i in range(3) if a[i])
@@ -638,7 +635,7 @@ def parametrize_line(L):
     for o in others:
         v = [SZERO, SZERO, SZERO]
         v[o] = SONE
-        v[idx] = -a[o] / a[idx]
+        v[idx] = -a[o]
         pts.append(v)
     P, Q = pts
     return tuple((P[i], Q[i]) for i in range(3))
@@ -647,23 +644,14 @@ def parametrize_line(L):
 def restrict_to_line(p, L):
     """Binary form (in s, t) of p restricted to the line {L = 0}.
 
-    Returned as a coefficient list b where b[i] multiplies s^i t^(n-i).
+    Returned as a coefficient list b where b[i] multiplies s^i t^(n-i): p
+    substituted with the coordinates of `parametrize_line(L)` as linear
+    forms in s = x, t = y.
     """
-    param = parametrize_line(L)
     n = p.degree
-    out = [SZERO] * (n + 1)
-    lin = []
-    for (ps, qt) in param:
-        lin.append([qt, ps])  # univariate in u with s -> u, t -> 1
-    for e, c in p.terms.items():
-        term = [Scalar.coerce(1)]
-        for a in range(3):
-            for _ in range(e[a]):
-                term = pmul(term, lin[a])
-        for i, v in enumerate(term):
-            if v:
-                out[i] = out[i] + c * v
-    return out
+    lin = [HomPoly({(1, 0, 0): ps, (0, 1, 0): qt}, 1) for ps, qt in parametrize_line(L)]
+    st = _substitute2([p.terms], lin, HomPoly.constant(1), HomPoly.zero(n))[0]
+    return [st.coefficient((i, n - i, 0)) for i in range(n + 1)]
 
 
 # -- root finding over the working field ----------------------------------
@@ -751,28 +739,6 @@ def field_roots(coeffs, field_d=0):
     return roots, fully
 
 
-def binary_form_factors(coeffs, field_d=0):
-    """Linear factors (alpha, beta) of a binary form sum b_i s^i t^(n-i).
-
-    Factor alpha*s + beta*t appears with its multiplicity.  Returns
-    (factors, fully_split).
-    """
-    n = len(coeffs) - 1
-    p = pstrip(list(coeffs))
-    if not p:
-        raise ValueError("zero binary form")
-    d = len(p) - 1
-    # f = t^(n-d) * homogenization of p(u), u = s/t
-    factors = [((SZERO, SONE), n - d)] if n - d else []
-    roots, fully = field_roots(p, field_d)
-    cnt = {}
-    for r in roots:
-        cnt[r] = cnt.get(r, 0) + 1
-    for r, m in cnt.items():
-        factors.append(((SONE, -r), m))  # root u0: factor s - u0*t
-    return factors, fully
-
-
 def factor_linear_cubic(c, field_d=None):
     """Split a form of degree <= 3 into linear factors over the field.
 
@@ -814,98 +780,39 @@ def factor_linear_cubic(c, field_d=None):
 
 
 def _find_linear_factor(p, field_d):
-    """One linear factor of p (degree >= 2, no coordinate-variable factor)."""
-    # restriction to z = 0 as binary form in (x, y): candidate (alpha, beta)
-    n = p.degree
-    bz = [SZERO] * (n + 1)
-    for (i, j, k), c in p.terms.items():
-        if k == 0:
-            bz[i] = c  # x^i y^(n-i): s=x, t=y
-    cands, _ = binary_form_factors(bz, field_d)
-    for (alpha, beta), _m in cands:
-        lf = _factor_with_xy_part(p, alpha, beta, field_d)
-        if lf is not None:
-            return lf
-    return None
+    """One linear factor of p (degree >= 2, no coordinate-variable factor),
+    or None.
 
-
-def _factor_with_xy_part(p, alpha, beta, field_d):
-    """Search gamma with (alpha*x + beta*y + gamma*z) | p.
-
-    The candidate (alpha, beta) comes from the z = 0 restriction, where a
-    factor alpha*s + beta*t corresponds to alpha = root coefficient on x.
-    Restricting p to the pencil of lines through (beta : -alpha : 0) gives,
-    cell by cell in (s, t), polynomial conditions on gamma; their gcd's
-    roots are the valid gamma values.
+    A factor alpha*x + beta*y + gamma*z restricts on z = 0 to a factor of
+    p(x, y, 0), so (alpha : beta) is a root of that binary form, or (0 : 1)
+    when it loses degree.  On the line of a candidate, parametrized with
+    s = 1 by (beta, -alpha - t*gamma, beta*t), or (-t*gamma, 1, alpha*t)
+    when beta = 0, p is a polynomial in t and gamma; the line divides p when
+    every coefficient of a power of t vanishes at gamma, so gamma is a root
+    of their gcd, and each is checked by exact division.
     """
-    # binary_form_factors yields (r, 1) for root u0=r meaning factor s - u0 t
-    # on the (x, y) form: x - u0*y, i.e. alpha=1? Map: factor a*s+b*t with
-    # (a, b) = (alpha, beta) acts on (x, y): line alpha*x + beta*y (+ gamma*z).
-    if beta:
-        # param of alpha*x+beta*y+gamma*z = 0: (beta*s, -alpha*s - gamma*t, beta*t)
-        x_lin = {(1, 0): beta}            # beta * s
-        y_lin = {(1, 0): -alpha, (0, 1): None}  # -alpha*s - gamma*t
-        z_lin = {(0, 1): beta}            # beta * t
-    else:
-        if not alpha:
-            return None
-        # line alpha*x + gamma*z = 0: param (-gamma*t, s, alpha*t)
-        x_lin = {(0, 1): None}            # -gamma * t (gamma-linear)
-        y_lin = {(1, 0): SONE}
-        z_lin = {(0, 1): alpha}
-    # cells: dict (es, et) -> upoly in gamma (list of Scalars)
-    cells = {}
-
-    def lin_as_gpoly(lin, negate_gamma):
-        # returns dict (es, et) -> gamma-poly for one coordinate
-        out = {}
-        for key, val in lin.items():
-            if val is None:
-                out[key] = [SZERO, -SONE] if negate_gamma else [SZERO, SONE]
-            else:
-                out[key] = [val]
-        return out
-
-    gx = lin_as_gpoly(x_lin, negate_gamma=not beta)
-    gy = lin_as_gpoly(y_lin, negate_gamma=bool(beta))
-    gz = lin_as_gpoly(z_lin, negate_gamma=False)
-
-    def gmul(f, g):
-        out = {}
-        for (a1, b1), p1 in f.items():
-            for (a2, b2), p2 in g.items():
-                key = (a1 + a2, b1 + b2)
-                prod = pmul(p1, p2)
-                out[key] = padd(out.get(key, []), prod)
-        return {k: v for k, v in out.items() if v}
-
-    def gpow(f, k):
-        r = {(0, 0): [SONE]}
-        base = f
-        while k:
-            if k & 1:
-                r = gmul(r, base)
-            base = gmul(base, base)
-            k >>= 1
-        return r
-
-    for (i, j, k), c in p.terms.items():
-        term = gmul(gmul(gpow(gx, i), gpow(gy, j)), gpow(gz, k))
-        for key, gp in term.items():
-            cells[key] = padd(cells.get(key, []), [c * v for v in gp])
-    cells = {k: v for k, v in cells.items() if v}
-    if not cells:
-        return None
-    g = []
-    for gp in cells.values():
-        g = pgcd(g, gp) if g else list(gp)
-        if pdegree(g) == 0:
-            return None
-    roots, _ = field_roots(g, field_d)
-    for gamma in roots:
-        lf = LinearForm([alpha, beta, gamma])
-        if divide_exact(p, lf.to_poly()) is not None:
-            return lf
+    n = p.degree
+    bz = pstrip(restrict_to_line(p, LinearForm([0, 0, 1])))  # bz[i]: x^i y^(n-i)
+    roots, _ = field_roots(bz, field_d)
+    cands = [(SZERO, SONE)] if len(bz) <= n else []
+    cands += [(SONE, -r) for r in dict.fromkeys(roots)]  # x - r*y
+    t, gamma = BiPoly.var("x"), BiPoly.var("y")
+    for alpha, beta in cands:
+        if beta:
+            line = (BiPoly.coerce(beta), -gamma * t - alpha, t * beta)
+        else:
+            line = (-gamma * t, BiPoly.coerce(1), t * alpha)
+        h = _substitute2([p.terms], line, BiPoly.coerce(1), BiPoly({}))[0]
+        by_t = {}
+        for (i, j), c in h.terms.items():
+            by_t.setdefault(i, [SZERO] * (n + 1))[j] = c
+        g = []
+        for gp in by_t.values():
+            g = pgcd(g, pstrip(gp))
+        for gam in field_roots(g, field_d)[0]:
+            lf = LinearForm([alpha, beta, gam])
+            if divide_exact(p, lf.to_poly()) is not None:
+                return lf
     return None
 
 
@@ -1014,36 +921,11 @@ class BiPoly:
         d = self.degree
         return BiPoly({e: c for e, c in self.terms.items() if e[0] + e[1] == d})
 
-    def partial(self, axis):
-        out = {}
-        for e, c in self.terms.items():
-            if e[axis] == 0:
-                continue
-            ee = list(e)
-            ee[axis] -= 1
-            out[tuple(ee)] = c * e[axis]
-        return BiPoly(out)
-
     def eval(self, x, y):
         acc = SZERO
         for (i, j), c in self.terms.items():
             acc = acc + c * x ** i * y ** j
         return acc
-
-    def eval_complex(self, x, y):
-        acc = 0j
-        for (i, j), c in self.terms.items():
-            acc += c.to_complex() * x ** i * y ** j
-        return acc
-
-    def as_uni_y(self):
-        """Coefficient list in y when the polynomial does not involve x."""
-        out = [SZERO] * (max((j for (_i, j) in self.terms), default=0) + 1)
-        for (i, j), c in self.terms.items():
-            if i != 0:
-                raise ValueError("polynomial involves x")
-            out[j] = c
-        return pstrip(out)
 
     def __str__(self):
         if not self.terms:

@@ -3,8 +3,8 @@
 A RatMap is a coprime triple of homogeneous forms of a common degree.
 Besides composition and ansatz-based inversion this module carries the
 quadratic birationality criterion (det-jac splits into contracted lines),
-indeterminacy point extraction for conic triples, the base-point
-multiplicity solver, and de Jonquieres elements.
+the base points of a quadratic map read off its contracted lines, the
+base-point multiplicity solver, and de Jonquieres elements.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from .poly import (
     jacobian_det,
     parametrize_line,
     parse_poly,
-    poly_gcd,
     reduce_triple,
     restrict_to_line,
 )
 from .scalars import Scalar
-from .unipoly import RatFunc, padd, pdegree, pgcd, pmul, pquo_exact, pstrip
+from .unipoly import RatFunc, pdegree, pgcd, pmul, pquo_exact, pstrip
 
 SZERO = Scalar(0)
 SONE = Scalar(1)
@@ -54,13 +53,7 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        # cross-product vanishing, scale free by construction
-        a, b = self.coords, other.coords
-        return (
-            a[0] * b[1] == a[1] * b[0]
-            and a[0] * b[2] == a[2] * b[0]
-            and a[1] * b[2] == a[2] * b[1]
-        )
+        return self.coords == other.coords
 
     def __hash__(self):
         return hash(self.coords)
@@ -133,9 +126,6 @@ class RatMap:
         if all(not v for v in vals):
             return None
         return ProjPoint(vals)
-
-    def apply_complex(self, xyz):
-        return tuple(c.eval_complex(xyz) for c in self.components)
 
     def coefficient_digits(self):
         """Total decimal digits of all numerators and denominators, for
@@ -250,20 +240,19 @@ def inverse(f, target_degree):
 
 # -- contracted lines ------------------------------------------------------
 
-def is_contracted_line(f, L):
-    """Constant image point of the line {L = 0}, or NOT_CONTRACTED."""
-    if isinstance(L, HomPoly):
-        L = LinearForm.from_poly(L)
-    restr = [restrict_to_line(c, L) for c in f.components]
-    polys = [pstrip(list(r)) for r in restr]
+def _on_line(f, L):
+    """(image, g, tpow) for the line {L = 0}: its constant image point, or
+    NOT_CONTRACTED; the monic gcd g of the restrictions of f's components
+    as polynomials in u = s/t; and the power of t they share, nonzero when
+    (s : t) = (1 : 0) is a common zero."""
+    polys = [pstrip(restrict_to_line(c, L)) for c in f.components]
     if all(not p for p in polys):
         raise ValueError("line is contained in the indeterminacy locus")
     n = f.degree
-    nonzero = [p for p in polys if p]
     g = []
-    for p in nonzero:
-        g = pgcd(g, p) if g else list(p)
-    tpow = min(n - pdegree(p) for p in nonzero)
+    for p in polys:
+        g = pgcd(g, p)
+    tpow = min(n - pdegree(p) for p in polys if p)
     coords = []
     for p in polys:
         if not p:
@@ -271,9 +260,16 @@ def is_contracted_line(f, L):
             continue
         q = pquo_exact(p, g)
         if pdegree(q) > 0 or (n - pdegree(p)) != tpow:
-            return NOT_CONTRACTED
+            return NOT_CONTRACTED, g, tpow
         coords.append(q[0])
-    return ProjPoint(coords)
+    return ProjPoint(coords), g, tpow
+
+
+def is_contracted_line(f, L):
+    """Constant image point of the line {L = 0}, or NOT_CONTRACTED."""
+    if isinstance(L, HomPoly):
+        L = LinearForm.from_poly(L)
+    return _on_line(f, L)[0]
 
 
 # -- quadratic classification ---------------------------------------------
@@ -300,13 +296,10 @@ def quadratic_classify(f):
     if factors is NOT_FULLY_SPLIT:
         return QuadClass("FieldObstruction", field_obstructed=True)
     lines = [lf for lf, _m in factors]
-    mults = [m for _lf, m in factors]
-    targets = []
-    for lf in lines:
-        t = is_contracted_line(f, lf)
-        if t is NOT_CONTRACTED:
-            return QuadClass("NotBirational", det_jac_lines=lines)
-        targets.append(t)
+    on_lines = [_on_line(f, lf) for lf in lines]
+    targets = [t for t, _g, _tpow in on_lines]
+    if any(t is NOT_CONTRACTED for t in targets):
+        return QuadClass("NotBirational", det_jac_lines=lines)
     distinct = len(lines)
     if distinct == 3:
         M = [list(lf.coeffs) for lf in lines]
@@ -318,216 +311,38 @@ def quadratic_classify(f):
         stratum = "Sigma2"
     else:
         stratum = "Sigma1"
-    pts, obstructed = indeterminacy_points_quadratic(f)
+    pts, obstructed = _base_points(f, lines, on_lines)
     return QuadClass(stratum, det_jac_lines=lines, contraction_targets=targets,
                      ind_points=pts, field_obstructed=obstructed)
 
 
-# -- common zeros of the conic triple -------------------------------------
-
-def _as_y_coeffs(biv_terms):
-    """Bivariate dict {(i, j): c} -> list over y of x-coefficient lists."""
-    dy = max((e[1] for e in biv_terms), default=0)
-    out = [[] for _ in range(dy + 1)]
-    dx = max((e[0] for e in biv_terms), default=0)
-    grid = [[SZERO] * (dx + 1) for _ in range(dy + 1)]
-    for (i, j), c in biv_terms.items():
-        grid[j][i] = c
-    return [pstrip(row) for row in grid]
-
-
-def _sylvester_resultant(A, B):
-    """Resultant in y of two polynomials with upoly-in-x coefficients."""
-    m = len(A) - 1
-    n = len(B) - 1
-    size = m + n
-    M = [[[] for _ in range(size)] for _ in range(size)]
-    for r in range(n):
-        for k in range(m + 1):
-            M[r][r + k] = list(A[m - k])
-    for r in range(m):
-        for k in range(n + 1):
-            M[n + r][r + k] = list(B[n - k])
-    return _poly_det(M)
-
-
-def _poly_det(M):
-    n = len(M)
-    if n == 1:
-        return list(M[0][0])
-    out = []
-    for j in range(n):
-        if not M[0][j]:
-            continue
-        minor = [[M[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = pmul(M[0][j], _poly_det(minor))
-        out = padd(out, term) if j % 2 == 0 else padd(out, [-c for c in term])
-    return out
-
-
 def indeterminacy_points_quadratic(f):
-    """Common zeros of the component conics; returns (points, obstructed)."""
-    if f.degree != 2:
-        raise ValueError("map must be quadratic")
+    """(points, obstructed) for a quadratic birational map: its proper base
+    points, from `quadratic_classify`, and whether a restriction to a
+    contracted line failed to split over the field.  A map whose Jacobian
+    does not split into lines over its field gives ([], True); any map that
+    is not quadratic and birational raises ValueError."""
+    qc = quadratic_classify(f)
+    if qc.stratum in ("Sigma0", "NotQuadratic", "NotBirational"):
+        raise ValueError(f"not a quadratic birational map: {qc.stratum}")
+    return qc.ind_points, qc.field_obstructed
+
+
+def _base_points(f, lines, on_lines):
+    """(points, obstructed): the common zeros of f's components on the
+    given lines, from their `_on_line` data.  On each line they are the
+    roots of the gcd of the three restrictions, and (s : t) = (1 : 0) when
+    every restriction loses degree; obstructed when a gcd does not split
+    over the field."""
     field_d = _field_of(f.components)
-    pts = []
-    obstructed = False
-
-    # points on the line z = 0
-    restr = []
-    for c in f.components:
-        b = [SZERO] * 3
-        for (i, j, k), v in c.terms.items():
-            if k == 0:
-                b[i] = v
-        restr.append(pstrip(b))
-    nonzero = [p for p in restr if p]
-    if nonzero:
-        g = []
-        for p in nonzero:
-            g = pgcd(g, p) if g else list(p)
-        tmin = min(2 - pdegree(p) for p in nonzero)
-        if pdegree(g) > 0 or tmin > 0:
-            # common factor g (in u = x/y) plus y^tmin
-            roots, fully = field_roots(list(g), field_d)
-            if not fully:
-                obstructed = True
-            for r in roots:
-                pts.append(ProjPoint((r, SONE, SZERO)))
-            if tmin > 0:
-                pts.append(ProjPoint((SONE, SZERO, SZERO)))
-
-    # affine chart z = 1
-    aff = [_aff_collect(c) for c in f.components]
-    found, ok = _affine_common_zeros(aff, field_d)
-    if not ok:
-        obstructed = True
-    for (x0, y0) in found:
-        pts.append(ProjPoint((x0, y0, SONE)))
-    uniq = []
-    for p in pts:
-        if p not in uniq:
-            uniq.append(p)
-    return uniq, obstructed
-
-
-def _aff_collect(c):
-    out = {}
-    for (i, j, k), v in c.terms.items():
-        out[(i, j)] = out.get((i, j), SZERO) + v
-    return {e: v for e, v in out.items() if v}
-
-
-def _affine_common_zeros(aff, field_d):
-    """Common zeros of up to three bivariate polys (x, y); (solutions, complete)."""
-    ycoeffs = [_as_y_coeffs(a) if a else [] for a in aff]
-    complete = True
-    # polynomials independent of y give direct x-conditions
-    xconds = []
-    posy = []
-    for yc in ycoeffs:
-        yc = [row for row in yc]
-        while yc and not yc[-1]:
-            yc.pop()
-        if not yc:
-            continue
-        if len(yc) == 1:
-            xconds.append(yc[0])
-        else:
-            posy.append(yc)
-    xpoly = []
-    for p in xconds:
-        xpoly = pgcd(xpoly, p) if xpoly else list(p)
-    if not xpoly:
-        res = None
-        for i in range(len(posy)):
-            for j in range(i + 1, len(posy)):
-                r = _sylvester_resultant(posy[i], posy[j])
-                if r:
-                    res = r
-                    break
-            if res:
-                break
-        if res is None:
-            if len(posy) < 2:
-                # a single conic: infinitely many zeros; not a finite Ind set
-                return [], True
-            # every pairwise resultant vanished: shared components
-            return _degenerate_common_zeros(aff, field_d)
-        xpoly = res
-    xroots, fully = field_roots(xpoly, field_d)
-    if not fully:
-        complete = False
-    sols = []
-    for x0 in xroots:
-        yuni = []
-        for a in aff:
-            coeffs = {}
-            for (i, j), c in a.items():
-                coeffs[j] = coeffs.get(j, SZERO) + c * x0 ** i
-            lst = [coeffs.get(j, SZERO) for j in range(max(coeffs, default=0) + 1)]
-            yuni.append(pstrip(lst))
-        # drop components vanishing identically on this vertical line
-        yuni = [lst for lst in yuni if lst]
-        g = []
-        for lst in yuni:
-            g = pgcd(g, lst) if g else list(lst)
-        if not g:
-            continue
-        if pdegree(g) == 0:
-            continue
-        yroots, fully = field_roots(g, field_d)
-        if not fully:
-            complete = False
-        for y0 in yroots:
-            if all(_aff_eval(a, x0, y0).is_zero() for a in aff):
-                sols.append((x0, y0))
-    return sols, complete
-
-
-def _aff_eval(a, x0, y0):
-    acc = SZERO
-    for (i, j), c in a.items():
-        acc = acc + c * x0 ** i * y0 ** j
-    return acc
-
-
-def _degenerate_common_zeros(aff, field_d):
-    """Fallback when conics pairwise share components: intersect shared lines."""
-    polys = []
-    for a in aff:
-        terms = {}
-        deg = max((i + j for (i, j) in a), default=0)
-        for (i, j), c in a.items():
-            terms[(i, j, deg - i - j)] = c
-        polys.append(HomPoly(terms, deg))
-    sols = []
-    complete = True
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            g = poly_gcd(polys[i], polys[j])
-            if g.degree == 0:
-                continue
-            facs = factor_linear_cubic(g, field_d)
-            if facs is NOT_FULLY_SPLIT:
-                complete = False
-                continue
-            k = ({0, 1, 2} - {i, j}).pop()
-            for lf, _m in facs:
-                b = restrict_to_line(polys[k], lf)
-                b = pstrip(list(b))
-                if not b:
-                    complete = False
-                    continue
-                roots, fully = field_roots(b, field_d)
-                if not fully:
-                    complete = False
-                param = parametrize_line(lf)
-                for r in roots:
-                    x0, y0, z0 = (p * r + q for (p, q) in param)
-                    if z0:
-                        sols.append((x0 / z0, y0 / z0))
-    return sols, complete
+    pts, obstructed = [], False
+    for L, (_t, g, tpow) in zip(lines, on_lines):
+        roots, fully = field_roots(g, field_d)
+        obstructed = obstructed or not fully
+        st = [(r, SONE) for r in roots] + ([(SONE, SZERO)] if tpow else [])
+        param = parametrize_line(L)
+        pts += [ProjPoint([p * s + q * t for p, q in param]) for s, t in st]
+    return list(dict.fromkeys(pts)), obstructed
 
 
 # -- Noether multiplicity profiles ----------------------------------------

@@ -153,3 +153,85 @@ def test_negative_univariate_power_is_rejected():
     with pytest.raises(ValueError):
         ppow([Scalar(1), Scalar(1)], -1)
     assert ppow([Scalar(1), Scalar(1)], 2) == [Scalar(1), Scalar(2), Scalar(1)]
+
+
+W = Scalar(0, 1, -3)
+tiny = st.integers(min_value=-3, max_value=3)
+
+
+def _line(coeffs):
+    return HomPoly({(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]}, 1)
+
+
+def _expected_split(mono, lines):
+    """{LinearForm: multiplicity} of x^a y^b z^c times the given lines."""
+    want = {}
+    for axis, m in enumerate(mono):
+        if m:
+            lf = LinearForm([int(a == axis) for a in range(3)])
+            want[lf] = want.get(lf, 0) + m
+    for c in lines:
+        lf = LinearForm(c)
+        want[lf] = want.get(lf, 0) + 1
+    return want
+
+
+def _product(mono, lines, lead=1):
+    p = HomPoly.monomial(lead, mono)
+    for c in lines:
+        p = p * _line(c)
+    return p
+
+
+@st.composite
+def monomial_and_lines(draw, coeff, max_lines):
+    lines = draw(st.lists(st.lists(coeff, min_size=3, max_size=3).filter(any),
+                          min_size=1, max_size=max_lines))
+    a = draw(st.integers(0, 3 - len(lines)))
+    b = draw(st.integers(0, 3 - len(lines) - a))
+    return (a, b, draw(st.integers(0, 3 - len(lines) - a - b))), lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_and_lines(tiny, 3), st.integers(1, 5))
+def test_factor_linear_cubic_recovers_rational_lines(case, lead):
+    mono, lines = case
+    facs = factor_linear_cubic(_product(mono, lines, lead))
+    assert facs is not NOT_FULLY_SPLIT
+    assert dict(facs) == _expected_split(mono, lines)
+
+
+sqrt_m3 = st.builds(lambda a, b: Scalar(a) + W * b, tiny, tiny)
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_and_lines(sqrt_m3, 2))
+def test_factor_linear_cubic_recovers_sqrt_minus_3_lines(case):
+    mono, lines = case
+    facs = factor_linear_cubic(_product(mono, lines))
+    assert facs is not NOT_FULLY_SPLIT
+    assert dict(facs) == _expected_split(mono, lines)
+
+
+@pytest.mark.parametrize("lines", [
+    [[2, 0, 3]],                      # alpha*x + gamma*z: no y, found on the pencil beta = 0
+    [[0, 2, -3]],                     # beta*y + gamma*z: z = 0 restriction loses degree
+    [[2, 0, 3], [0, 2, -3], [1, 1, 1]],
+    [[1, 0, W], [0, 1, -W]],
+])
+def test_factor_linear_cubic_lines_without_x_or_y(lines):
+    facs = factor_linear_cubic(_product((0, 0, 0), lines))
+    assert dict(facs) == _expected_split((0, 0, 0), lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), sqrt_m3, max_size=6),
+       st.lists(sqrt_m3, min_size=3, max_size=3).filter(any), sqrt_m3, sqrt_m3)
+def test_restrict_to_line_agrees_with_evaluation(terms, coeffs, s, t):
+    p = HomPoly({(i, j, 3 - i - j): c for (i, j), c in terms.items() if i + j <= 3}, 3)
+    L = LinearForm(coeffs)
+    b = restrict_to_line(p, L)
+    assert len(b) == p.degree + 1
+    point = [ps * s + qt * t for ps, qt in poly.parametrize_line(L)]
+    assert L.to_poly().eval(point) == 0
+    assert sum((c * s ** i * t ** (p.degree - i) for i, c in enumerate(b)), Scalar(0)) == p.eval(point)

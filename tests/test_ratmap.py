@@ -246,3 +246,48 @@ def test_printing_a_coefficient_beyond_str_limit_is_a_resource_limit():
     for obj in (f, f.components[0], f.components[0].terms[(1, 0, 0)]):
         with pytest.raises(ResourceLimit, match="have 5004 digits"):
             str(obj)
+
+
+def test_projective_points_compare_and_hash_by_canonical_coords():
+    w = Scalar(0, 1, -3)
+    for u, k in (([2, 4, 6], Fraction(-3, 7)), ([0, w, 1], w), ([1 + w, 0, 2], 2 - w)):
+        p, q = ProjPoint(u), ProjPoint([k * Scalar.coerce(c) for c in u])
+        assert p == q and hash(p) == hash(q)
+    assert ProjPoint([1, 2, 3]) != ProjPoint([1, 2, 4])
+    assert ProjPoint([1, w, 0]) != ProjPoint([1, -w, 0])
+    assert ProjPoint([0, 1, 0]) != ProjPoint([1, 0, 0])
+
+
+def _assert_base_points(f, qc, count):
+    assert not qc.field_obstructed
+    assert len(qc.ind_points) == count == len(set(qc.ind_points))
+    assert all(f.apply(p) is None for p in qc.ind_points)
+
+
+def test_sigma3_base_points_over_q_sqrt_minus_3():
+    f = compose(SIGMA, RatMap.from_matrix([[1, W, 0], [0, 1, 1], [1, 0, 2]]))
+    qc = quadratic_classify(f)
+    assert qc.stratum == "Sigma3"
+    _assert_base_points(f, qc, 3)
+    assert indeterminacy_points_quadratic(f) == (qc.ind_points, False)
+
+
+def test_base_points_of_rational_conjugates():
+    rng = random.Random(11)
+    for _ in range(4):
+        while True:
+            M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+                 for _ in range(3)]
+            if mat_inverse(M) is not None:
+                break
+        for f, stratum, count in ((SIGMA, "Sigma3", 3), (RHO, "Sigma2", 2), (TAU, "Sigma1", 1)):
+            g = _conjugate(f, M)
+            qc = quadratic_classify(g)
+            assert qc.stratum == stratum
+            _assert_base_points(g, qc, count)
+
+
+def test_indeterminacy_points_need_a_quadratic_birational_map():
+    for text in ("x^2 : y^2 : z^2", "x : y : z", "y^2*z : x^2*z + x*y^2 : x*y*z + y^3"):
+        with pytest.raises(ValueError, match="not a quadratic birational map"):
+            indeterminacy_points_quadratic(parse_ratmap(text))
