@@ -110,15 +110,14 @@ def _fit_residual(xs, ys):
     return slope, res / scale
 
 
-def growth_classify(seq, map_equality_oracle=None):
+def growth_classify(seq):
     """Bounded / Linear / Quadratic / Exponential / Undetermined.
 
     seq may be a DegreeSequence or a plain list of degrees.  Boundedness is
-    certified by exact iterate repetition (recorded on the sequence, or by
-    the optional oracle(j, k) -> bool telling whether f^j == f^k); the
-    other labels come from least-squares fits of d_k against k, k^2 and of
-    log d_k against k, accepted below relative residual 0.15, ties giving
-    Undetermined.
+    certified by exact iterate repetition, recorded on the sequence as its
+    period; the other labels come from least-squares fits of d_k against
+    k, k^2 and of log d_k against k, accepted below relative residual 0.15,
+    ties giving Undetermined.
     """
     if isinstance(seq, DegreeSequence):
         degs = seq.degrees
@@ -126,15 +125,6 @@ def growth_classify(seq, map_equality_oracle=None):
     else:
         degs = list(seq)
         period = 0
-    if not period and map_equality_oracle is not None:
-        n = len(degs)
-        for k in range(2, n + 1):
-            for j in range(1, k):
-                if degs[k - 1] == degs[j - 1] and map_equality_oracle(j, k):
-                    period = k - j
-                    break
-            if period:
-                break
     if period or (max(degs) == 1):
         return GrowthClass("Bounded", 1.0, {"period": period})
     ks = list(range(1, len(degs) + 1))
@@ -188,19 +178,16 @@ def contraction_targets(f):
     return out
 
 
-def stability_probe(f, f_inv=None, N=None):
+def stability_probe(f, N=None):
     """Bounded-horizon algebraic-stability check.
 
     Pushes every contraction target p of f through the iteration and tests
     f^k(p) for indeterminacy (all components vanish), k = 0..N.  Empty
     collisions means "no obstruction up to horizon N", not a stability
-    proof.  f_inv, when given, is only sanity-checked against f.
+    proof.
     """
     if N is None:
         N = default_horizon(f)
-    if f_inv is not None:
-        if not compose(f, f_inv).is_identity():
-            raise ValueError("f_inv is not an inverse of f")
     collisions = []
     for p0 in contraction_targets(f):
         p = p0

@@ -2,6 +2,14 @@
 affine polynomials, with gcd, substitution, Jacobians and splitting of low
 degree forms into linear factors.
 
+`HomPoly` and `BiPoly` are thin subclasses of one core, `_Sparse`: a dict
+from exponent tuples to nonzero Scalars with one copy of equality,
+hashing, + - * ** `mul_ground`, evaluation and printing.  Arithmetic builds
+its results with the trusted `_clean`, dropping cancelled terms as they
+arise; only outside callers go through the validating constructor.
+`proportionality(ps, qs)`, the scalar c with ps[i] == c * qs[i], is the one
+proportionality test, behind `RatMap.__eq__` and `jung_decompose`.
+
 Every substitution runs through `_substitute2`, which builds each monomial
 of the substituted polynomial once, as one product of a lower monomial with
 an image: `substitute` on HomPolys, `BiPoly.subst` on BiPolys, the ansatz
@@ -29,6 +37,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -44,18 +53,31 @@ from .unipoly import pdegree, pdivmod, pgcd, pstrip
 SZERO = Scalar(0)
 SONE = Scalar(1)
 
-VARS = ("x", "y", "z")
+
+def _accumulate(terms, e, c):
+    """terms[e] += c for a nonzero c, dropping the term when it cancels."""
+    s = terms.get(e)
+    s = c if s is None else s + c
+    if s:
+        terms[e] = s
+    else:
+        del terms[e]
 
 
-class HomPoly:
-    """Homogeneous polynomial in x, y, z with Scalar coefficients.
+class _Sparse:
+    """Polynomial over Scalar in the variables VARS: terms maps exponent
+    tuples, one entry per variable, to nonzero coefficients.
 
-    terms maps exponent triples (i, j, k) with i+j+k == degree to nonzero
-    coefficients.  The zero polynomial keeps a nominal degree so that
-    addition stays total on homogeneous arguments.
+    The one copy of the arithmetic, evaluation and printing of HomPoly and
+    BiPoly.  Values are immutable.  Results of arithmetic are built by the
+    trusted `_clean`, with cancelled terms dropped as they arise; the
+    constructor validates and is for every outside caller.  `degree` is set
+    by the subclass's `_degree_of`: the nominal degree of a HomPoly, the
+    total degree of a BiPoly.
     """
 
     __slots__ = ("terms", "degree")
+    VARS = ()
 
     def __init__(self, terms, degree=None):
         clean = {}
@@ -64,34 +86,174 @@ class HomPoly:
             if not c:
                 continue
             exps = tuple(int(e) for e in exps)
-            if len(exps) != 3 or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent triple {exps}")
-            clean[exps] = clean.get(exps, SZERO) + c
-        clean = {e: c for e, c in clean.items() if c}
-        degs = {sum(e) for e in clean}
-        if len(degs) > 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        if clean:
-            degree = degs.pop()
-        elif degree is None:
-            degree = 0
+            if len(exps) != len(self.VARS) or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {exps}")
+            _accumulate(clean, exps, c)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "degree", int(degree))
-
-    def __setattr__(self, *_):
-        raise AttributeError("HomPoly is immutable")
-
-    # -- constructors -----------------------------------------------------
+        object.__setattr__(self, "degree", self._degree_of(clean, degree))
 
     @classmethod
     def _clean(cls, terms, degree):
-        """A HomPoly on terms that are already clean: nonzero Scalar values
-        on int triples that all sum to degree.  Skips the checks of
-        `HomPoly(...)`, which every outside caller goes through."""
+        """The polynomial on terms that are already clean: nonzero Scalars
+        on int tuples of the right length (for a HomPoly, all summing to
+        degree).  Skips the checks of the constructor."""
         p = object.__new__(cls)
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "degree", degree)
         return p
+
+    @classmethod
+    def _operand(cls, other):
+        """other as a second operand of + - *, or NotImplemented."""
+        return other if type(other) is cls else NotImplemented
+
+    @classmethod
+    def var(cls, name):
+        i = cls.VARS.index(name)
+        return cls({tuple(int(a == i) for a in range(len(cls.VARS))): SONE})
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            _accumulate(out, e, c)
+        return self._clean(out, self.degree if self.terms else other.degree)
+
+    def __neg__(self):
+        return self._clean({e: -c for e, c in self.terms.items()}, self.degree)
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Scalar)):
+            return self.mul_ground(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                _accumulate(out, tuple(map(operator.add, e1, e2)), c1 * c2)
+        return self._clean(out, self.degree + other.degree)
+
+    __rmul__ = __mul__
+
+    def mul_ground(self, c):
+        c = Scalar.coerce(c)
+        terms = {e: v * c for e, v in self.terms.items()} if c else {}
+        return self._clean(terms, self.degree)
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
+        r = self._clean({(0,) * len(self.VARS): SONE}, 0)
+        base = self
+        while k:
+            if k & 1:
+                r = r * base
+            k >>= 1
+            if k:
+                base = base * base
+        return r
+
+    def eval(self, point):
+        """Exact value at a point given by one Scalar per variable."""
+        acc = SZERO
+        for e, c in self.terms.items():
+            for v, k in zip(point, e):
+                if k:
+                    c = c * v ** k
+            acc = acc + c
+        return acc
+
+    def __str__(self):
+        """Terms by descending (total degree, exponents); an integer
+        coefficient is written bare, any other in parentheses."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[e]
+            mon = "*".join(f"{v}^{p}" if p > 1 else v for v, p in zip(self.VARS, e) if p)
+            if not mon:
+                parts.append(f"{c}")
+            elif c == SONE:
+                parts.append(mon)
+            elif c == -SONE:
+                parts.append(f"-{mon}")
+            elif c.is_rational() and c.a.denominator == 1:
+                parts.append(f"{c}*{mon}")
+            else:
+                parts.append(f"({c})*{mon}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    __repr__ = __str__
+
+
+def proportionality(ps, qs):
+    """The Scalar c with ps[i] == c * qs[i] for every i, or None (also when
+    every q is zero).  c is read off one term of the first nonzero q, and
+    each pair is then checked term by term."""
+    pairs = list(zip(ps, qs))
+    p, q = next(((p, q) for p, q in pairs if q), (None, None))
+    if q is None:
+        return None
+    e, b = next(iter(q.terms.items()))
+    if e not in p.terms:
+        return None
+    c = p.terms[e] / b
+    for p, q in pairs:
+        if len(p.terms) != len(q.terms):
+            return None
+        for e, b in q.terms.items():
+            a = p.terms.get(e)
+            if a is None or a != c * b:
+                return None
+    return c
+
+
+class HomPoly(_Sparse):
+    """Homogeneous polynomial in x, y, z with Scalar coefficients.
+
+    terms maps exponent triples (i, j, k) with i+j+k == degree to nonzero
+    coefficients.  The zero polynomial keeps a nominal degree so that
+    addition stays total on homogeneous arguments.
+    """
+
+    __slots__ = ()
+    VARS = ("x", "y", "z")
+
+    @staticmethod
+    def _degree_of(terms, degree):
+        degs = {sum(e) for e in terms}
+        if len(degs) > 1:
+            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
+        return degs.pop() if degs else int(degree or 0)
+
+    # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero(degree=0):
@@ -102,76 +264,16 @@ class HomPoly:
         return HomPoly({tuple(exps): Scalar.coerce(coef)})
 
     @staticmethod
-    def var(name):
-        i = VARS.index(name)
-        e = [0, 0, 0]
-        e[i] = 1
-        return HomPoly({tuple(e): SONE})
-
-    @staticmethod
     def constant(c):
         return HomPoly({(0, 0, 0): Scalar.coerce(c)})
 
     # -- basics -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        if self.terms and other.terms and self.degree != other.degree:
+        if type(other) is HomPoly and self.terms and other.terms \
+                and self.degree != other.degree:
             raise DegreeMismatch(f"add degree {self.degree} to {other.degree}")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, SZERO) + c
-        deg = self.degree if self.terms else other.degree
-        return HomPoly(out, deg)
-
-    def __neg__(self):
-        return HomPoly({e: -c for e, c in self.terms.items()}, self.degree)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar, Fraction)):
-            c = Scalar.coerce(other)
-            return HomPoly({e: v * c for e, v in self.terms.items()}, self.degree)
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out.get(e, SZERO) + c1 * c2
-        return HomPoly(out, self.degree + other.degree)
-
-    __rmul__ = __mul__
-    mul_ground = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError(f"negative power {k} of a polynomial")
-        r = HomPoly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                r = r * base
-            base = base * base
-            k >>= 1
-        return r
+        return super().__add__(other)
 
     def leading(self):
         """Leading (exponents, coefficient) in graded-lex order."""
@@ -186,13 +288,6 @@ class HomPoly:
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), SZERO)
-
-    def eval(self, point):
-        """Exact evaluation at a triple of Scalars."""
-        acc = SZERO
-        for (i, j, k), c in self.terms.items():
-            acc = acc + c * point[0] ** i * point[1] ** j * point[2] ** k
-        return acc
 
     def min_exponent(self, axis):
         return min((e[axis] for e in self.terms), default=0)
@@ -211,36 +306,51 @@ class HomPoly:
         return HomPoly(out, self.degree - amount)
 
     def field_disc(self):
-        for c in self.terms.values():
-            if c.d != 0:
-                return c.d
-        return 0
+        return _field_of([self])
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mon = "*".join(
-                f"{v}^{p}" if p > 1 else v
-                for v, p in zip(VARS, e)
-                if p > 0
-            )
-            if not mon:
-                parts.append(f"{c}")
-            elif c == SONE:
-                parts.append(mon)
-            elif c == -SONE:
-                parts.append(f"-{mon}")
-            elif c.is_rational() and "/" not in str(c):
-                parts.append(f"{c}*{mon}")
-            else:
-                parts.append(f"({c})*{mon}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
 
-    __repr__ = __str__
+class BiPoly(_Sparse):
+    """Polynomial in x, y over Scalar, not necessarily homogeneous; its
+    degree is the total degree (0 for the zero polynomial)."""
+
+    __slots__ = ()
+    VARS = ("x", "y")
+
+    @staticmethod
+    def _degree_of(terms, _degree=None):
+        return max((i + j for i, j in terms), default=0)
+
+    @classmethod
+    def _clean(cls, terms, _degree=None):
+        """The degree is read off the terms: the nominal degree that the
+        shared arithmetic passes is wrong when a sum cancels its top form."""
+        return super()._clean(terms, cls._degree_of(terms))
+
+    @staticmethod
+    def coerce(v):
+        if isinstance(v, BiPoly):
+            return v
+        if isinstance(v, (int, Scalar, Fraction)):
+            return BiPoly({(0, 0): Scalar.coerce(v)})
+        raise TypeError(f"cannot coerce {v!r} to BiPoly")
+
+    _operand = coerce
+    __radd__ = _Sparse.__add__
+
+    def __rsub__(self, other):
+        return BiPoly.coerce(other) + (-self)
+
+    def subst(self, fx, fy):
+        """self(fx, fy) for BiPoly arguments."""
+        return _substitute2([self.terms], (fx, fy), BiPoly.coerce(1), BiPoly({}))[0]
+
+    def top_form(self):
+        """Leading homogeneous part, as a BiPoly."""
+        d = self.degree
+        return BiPoly._clean({e: c for e, c in self.terms.items() if e[0] + e[1] == d})
+
+    def eval(self, x, y):
+        return super().eval((x, y))
 
 
 def substitute(p, images):
@@ -678,8 +788,8 @@ def field_roots(coeffs, field_d=0):
 
     Returns (roots_with_multiplicity, fully_split).  Multiplicities come out
     of repeated deflation.  Gives up (fully_split=False) on irreducible
-    factors of degree >= 2, on degree >= 3 factors with irrational
-    coefficients, and on oversized rational-root searches.
+    factors of degree >= 2, on degree >= 3 factors that are not a multiple
+    of a rational polynomial, and on oversized rational-root searches.
     """
     p = pstrip([Scalar.coerce(c) for c in coeffs])
     roots = []
@@ -703,13 +813,14 @@ def field_roots(coeffs, field_d=0):
             roots.append(SZERO)
             p = p[1:]
             continue
-        if not all(c.is_rational() for c in p):
+        monic = [c / p[-1] for c in p]  # rational for an irrational multiple of one
+        if not all(c.is_rational() for c in monic):
             fully = False
             break
         den_lcm = 1
-        for c in p:
+        for c in monic:
             den_lcm = den_lcm * c.a.denominator // math.gcd(den_lcm, c.a.denominator)
-        ints = [int(c.a * den_lcm) for c in p]
+        ints = [int(c.a * den_lcm) for c in monic]
         content = 0
         for v in ints:
             content = math.gcd(content, v)
@@ -739,15 +850,15 @@ def field_roots(coeffs, field_d=0):
     return roots, fully
 
 
-def factor_linear_cubic(c, field_d=None):
-    """Split a form of degree <= 3 into linear factors over the field.
+def factor_linear_cubic(c):
+    """Split a form of degree <= 3 into linear factors over the field of its
+    coefficients.
 
     Returns a list of (LinearForm, multiplicity) or NOT_FULLY_SPLIT.
     """
     if c.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if field_d is None:
-        field_d = c.field_disc()
+    field_d = _field_of([c])
     factors = []
     p = c
     # coordinate-variable factors first
@@ -814,141 +925,6 @@ def _find_linear_factor(p, field_d):
             if divide_exact(p, lf.to_poly()) is not None:
                 return lf
     return None
-
-
-# -- bivariate affine polynomials ----------------------------------------
-
-class BiPoly:
-    """Polynomial in x, y over Scalar, not necessarily homogeneous."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        clean = {}
-        for exps, c in terms.items():
-            c = Scalar.coerce(c)
-            if not c:
-                continue
-            exps = (int(exps[0]), int(exps[1]))
-            clean[exps] = clean.get(exps, SZERO) + c
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
-
-    def __setattr__(self, *_):
-        raise AttributeError("BiPoly is immutable")
-
-    @staticmethod
-    def coerce(v):
-        if isinstance(v, BiPoly):
-            return v
-        if isinstance(v, (int, Scalar, Fraction)):
-            return BiPoly({(0, 0): Scalar.coerce(v)})
-        raise TypeError(f"cannot coerce {v!r} to BiPoly")
-
-    @staticmethod
-    def var(name):
-        if name == "x":
-            return BiPoly({(1, 0): SONE})
-        if name == "y":
-            return BiPoly({(0, 1): SONE})
-        raise ValueError(name)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def degree(self):
-        return max((i + j for (i, j) in self.terms), default=0)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        other = BiPoly.coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, SZERO) + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-BiPoly.coerce(other))
-
-    def __rsub__(self, other):
-        return BiPoly.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = BiPoly.coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1])
-                out[e] = out.get(e, SZERO) + c1 * c2
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-    mul_ground = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError(f"negative power {k} of a polynomial")
-        r = BiPoly.coerce(1)
-        base = self
-        while k:
-            if k & 1:
-                r = r * base
-            base = base * base
-            k >>= 1
-        return r
-
-    def subst(self, fx, fy):
-        """self(fx, fy) for BiPoly arguments."""
-        return _substitute2([self.terms], (fx, fy), BiPoly.coerce(1), BiPoly({}))[0]
-
-    def top_form(self):
-        """Leading homogeneous part, as a BiPoly."""
-        d = self.degree
-        return BiPoly({e: c for e, c in self.terms.items() if e[0] + e[1] == d})
-
-    def eval(self, x, y):
-        acc = SZERO
-        for (i, j), c in self.terms.items():
-            acc = acc + c * x ** i * y ** j
-        return acc
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda t: (t[0] + t[1], t), reverse=True):
-            c = self.terms[e]
-            mon = "*".join(
-                f"{v}^{p}" if p > 1 else v
-                for v, p in zip(("x", "y"), e)
-                if p > 0
-            )
-            if not mon:
-                parts.append(f"{c}")
-            elif c == SONE:
-                parts.append(mon)
-            elif c == -SONE:
-                parts.append(f"-{mon}")
-            else:
-                parts.append(f"({c})*{mon}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
 
 
 # -- parsing --------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NOT_AUTOMORPHISM
-from .poly import BiPoly, HomPoly, parse_poly
+from .poly import BiPoly, HomPoly, parse_poly, proportionality
 from .scalars import Scalar
 
 SZERO = Scalar(0)
@@ -141,18 +141,6 @@ def _affine_invertible(aut):
     return bool(det)
 
 
-def _proportionality(p_top, q_top_pow):
-    """Scalar c with p_top == c * q_top_pow, or None."""
-    e, coef = next(iter(q_top_pow.terms.items()))
-    other = p_top.terms.get(e)
-    if other is None:
-        return None
-    c = other / coef
-    if q_top_pow * c == p_top:
-        return c
-    return None
-
-
 def jung_decompose(f):
     """Alternating affine/elementary word recomposing exactly to f.
 
@@ -181,11 +169,12 @@ def jung_decompose(f):
         if d1 % d2 != 0:
             return NOT_AUTOMORPHISM
         k = d1 // d2
-        c = _proportionality(p.top_form(), q.top_form() ** k)
+        qk = q ** k
+        c = proportionality([p.top_form()], [qk.top_form()])
         if c is None:
             return NOT_AUTOMORPHISM
         # cur' = (x - c*y^k, y) o cur; record the inverse (x + c*y^k, y)
-        cur = PolyAut((p - q ** k * c, q))
+        cur = PolyAut((p - qk * c, q))
         peeled.append(Factor("elementary", PolyAut((_X + _Y ** k * c, _Y))))
         if cur.degree >= d1 and cur.components[0].degree >= d1:
             return NOT_AUTOMORPHISM

@@ -25,6 +25,7 @@ from .poly import (
     jacobian_det,
     parametrize_line,
     parse_poly,
+    proportionality,
     reduce_triple,
     restrict_to_line,
 )
@@ -111,14 +112,8 @@ class RatMap:
         """Projective equality (equal up to a scalar factor)."""
         if not isinstance(other, RatMap):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        f, g = self.components, other.components
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if f[i] * g[j] != f[j] * g[i]:
-                    return False
-        return True
+        return self.degree == other.degree and \
+            proportionality(self.components, other.components) is not None
 
     def apply(self, pt):
         """Image of a ProjPoint, or None when pt is an indeterminacy point."""

@@ -226,3 +226,23 @@ def test_refused_without_evaluation(text):
 def test_z_is_not_a_variable_of_a_bivariate_polynomial():
     with pytest.raises(ValueError):
         parse_poly("x + z", cls="biv")
+
+
+@st.composite
+def biv_polys(draw):
+    """BiPolys of degree <= 3 with integer, fractional and sqrt(-3)
+    coefficients."""
+    coefficient = st.one_of(
+        st.integers(-9, 9).map(Scalar),
+        small_rational.map(Scalar),
+        st.builds(lambda a, b: Scalar(a, b, -3), small_rational, small_rational),
+    )
+    return BiPoly(draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3),
+        coefficient, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(biv_polys())
+def test_parse_of_bivariate_str_round_trips(p):
+    assert parse_poly(str(p), cls="biv") == p

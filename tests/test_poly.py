@@ -235,3 +235,17 @@ def test_restrict_to_line_agrees_with_evaluation(terms, coeffs, s, t):
     point = [ps * s + qt * t for ps, qt in poly.parametrize_line(L)]
     assert L.to_poly().eval(point) == 0
     assert sum((c * s ** i * t ** (p.degree - i) for i, c in enumerate(b)), Scalar(0)) == p.eval(point)
+
+
+def test_field_roots_of_an_irrational_multiple_of_a_rational_cubic():
+    # sqrt(-3) * (u - 1)(u - 2)(u - 3): made monic, the cubic is rational
+    roots, fully = field_roots([W * -6, W * 11, W * -6, W], -3)
+    assert fully and sorted(r.a for r in roots) == [1, 2, 3]
+    assert all(r.is_rational() for r in roots)
+
+
+def test_factor_linear_cubic_of_an_irrational_multiple_of_rational_lines():
+    lines = [[1, 1, 1], [1, 2, 1], [1, 3, 2]]
+    facs = factor_linear_cubic(_product((0, 0, 0), lines, W))
+    assert facs is not NOT_FULLY_SPLIT
+    assert dict(facs) == _expected_split((0, 0, 0), lines)
