@@ -10,13 +10,21 @@ arise; only outside callers go through the validating constructor.
 `proportionality(ps, qs)`, the scalar c with ps[i] == c * qs[i], is the one
 proportionality test, behind `RatMap.__eq__` and `jung_decompose`.
 
-Every substitution runs through `_substitute2`, which builds each monomial
-of the substituted polynomial once, as one product of a lower monomial with
-an image: `substitute` on HomPolys, `BiPoly.subst` on BiPolys, the ansatz
-images of `ratmap.inverse` on int pairs (`_chart_images`),
-`compose_reduce` on its integer or int-pair charts, `restrict_to_line` on
-linear forms in (s, t), and the search for linear factors of
-`factor_linear_cubic` on BiPolys in (t, gamma) for a pencil of lines.
+Sums and `mul_ground` stay in Scalar arithmetic.  Every product and
+substitution of HomPolys and BiPolys runs on ints, in
+`_substitute_on_chart`: the operands scale by their least common
+denominator to PairPolys (`_chart`: the z = 1 chart of a HomPoly, the terms
+of a BiPoly), and the result is built once, by `_clean`, over the
+denominator of that scaling.  It serves `*` (x*y substituted with the two
+factors), `**`, `substitute`, `BiPoly.subst` (and with it
+`polyaut.aut_compose` and `jung_decompose`), `restrict_to_line`, the search
+for linear factors of `factor_linear_cubic` on BiPolys in (t, gamma) for a
+pencil of lines, and the ansatz images of `ratmap.inverse`
+(`_chart_images`).  Its products come from `_substitute2`, which builds
+each monomial of the substituted polynomial once, as one product of a lower
+monomial with an image; `compose_reduce` calls `_substitute2` itself, on
+the PairPolys of its charts over Q(sqrt(d)) and on sympy's Polys over ZZ
+over Q.
 
 Composition, gcd and exact division share one layer in the chart z = 1:
 `_chart` scales forms by their least common denominator to dicts of int
@@ -37,7 +45,6 @@ from __future__ import annotations
 import ast
 import functools
 import math
-import operator
 from fractions import Fraction
 
 from .errors import (
@@ -52,6 +59,7 @@ from .unipoly import pdegree, pdivmod, pgcd, pstrip
 
 SZERO = Scalar(0)
 SONE = Scalar(1)
+_PRODUCT = {(1, 1): SONE}  # p * q is x*y substituted with (p, q)
 
 
 def _accumulate(terms, e, c):
@@ -153,11 +161,7 @@ class _Sparse:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _accumulate(out, tuple(map(operator.add, e1, e2)), c1 * c2)
-        return self._clean(out, self.degree + other.degree)
+        return _substitute(_PRODUCT, (self, other), type(self), self.degree + other.degree)
 
     __rmul__ = __mul__
 
@@ -167,17 +171,12 @@ class _Sparse:
         return self._clean(terms, self.degree)
 
     def __pow__(self, k):
+        """self ** k by k - 1 products with self on its chart: in two
+        variables, repeated multiplication by the small base costs less than
+        repeated squaring."""
         if k < 0:
             raise ValueError(f"negative power {k} of a polynomial")
-        r = self._clean({(0,) * len(self.VARS): SONE}, 0)
-        base = self
-        while k:
-            if k & 1:
-                r = r * base
-            k >>= 1
-            if k:
-                base = base * base
-        return r
+        return _substitute({(k,): SONE}, (self,), type(self), self.degree * k)
 
     def eval(self, point):
         """Exact value at a point given by one Scalar per variable."""
@@ -342,7 +341,7 @@ class BiPoly(_Sparse):
 
     def subst(self, fx, fy):
         """self(fx, fy) for BiPoly arguments."""
-        return _substitute2([self.terms], (fx, fy), BiPoly.coerce(1), BiPoly({}))[0]
+        return _substitute(self.terms, (fx, fy), BiPoly, 0)
 
     def top_form(self):
         """Leading homogeneous part, as a BiPoly."""
@@ -358,8 +357,7 @@ def substitute(p, images):
     f0, f1, f2 = images
     if not (f0.degree == f1.degree == f2.degree):
         raise DegreeMismatch("images must share a degree")
-    return _substitute2([p.terms], images, HomPoly.constant(1),
-                        HomPoly.zero(p.degree * f0.degree))[0]
+    return _substitute(p.terms, images, HomPoly, p.degree * f0.degree)
 
 
 def jacobian_det(triple):
@@ -406,44 +404,50 @@ def divide_exact(p, q):
         return None
     t, s = quot
     # 1 / (a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2)
-    return _from_chart(PairPoly(t, field_d).mul_ground((a, -b)).terms,
+    return _from_chart(HomPoly, PairPoly(t, field_d).mul_ground((a, -b)).terms,
                        s * (a * a - field_d * b * b), field_d, p.degree - q.degree)
 
 
 # -- the z = 1 chart on int pairs ---------------------------------------------
 
-def _field_of(polys):
-    """The d of Q(sqrt(d)) of the irrational coefficients, 0 over Q;
-    IncompatibleField when they lie in two fields."""
-    ds = {c.d for p in polys for c in p.terms.values()} - {0}
+def _field_of(polys, termss=()):
+    """The d of Q(sqrt(d)) of the irrational coefficients of the polys and
+    of the term dicts termss, 0 over Q; IncompatibleField when they lie in
+    two fields."""
+    ds = {c.d for terms in (*(p.terms for p in polys), *termss)
+          for c in terms.values()} - {0}
     if len(ds) > 1:
         raise IncompatibleField(" vs ".join(f"sqrt({d})" for d in sorted(ds)))
     return ds.pop() if ds else 0
 
 
+def _den(terms):
+    """The least common denominator of every a and b in the coefficients
+    a + b*sqrt(d) of a term dict."""
+    den = 1
+    for c in terms.values():
+        den = math.lcm(den, c.a.denominator, c.b.denominator)
+    return den
+
+
 def _chart(polys):
     """(den, [chart of den * p for each p]): den is the least common
-    denominator of every a and b in the coefficients a + b*sqrt(d), and a
-    chart is the z = 1 dict {(i, j): (A, B)} of ints standing for
-    A + B*sqrt(d), with B = 0 over Q."""
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            den = math.lcm(den, c.a.denominator, c.b.denominator)
-    return den, [
-        {(i, j): (c.a.numerator * (den // c.a.denominator),
-                  c.b.numerator * (den // c.b.denominator))
-         for (i, j, _k), c in p.terms.items()}
-        for p in polys
-    ]
+    denominator of the coefficients of every p, and a chart is the dict
+    {(i, j): (A, B)} of ints standing for A + B*sqrt(d), with B = 0 over Q:
+    the z = 1 chart of a HomPoly, the terms of a BiPoly."""
+    den = math.lcm(*(_den(p.terms) for p in polys))
+    return den, [{e[:2]: (c.a.numerator * (den // c.a.denominator),
+                          c.b.numerator * (den // c.b.denominator))
+                  for e, c in p.terms.items()} for p in polys]
 
 
-def _from_chart(terms, den, field_d, degree):
-    """The HomPoly of the given degree whose z = 1 chart is terms / den."""
-    return HomPoly._clean({
-        (i, j, degree - i - j): Scalar(Fraction(a, den), Fraction(b, den), field_d)
-        for (i, j), (a, b) in terms.items()
-    }, degree)
+def _from_chart(cls, terms, den, field_d, degree):
+    """The cls whose chart is terms / den: a HomPoly of the given degree,
+    rehomogenized, or a BiPoly."""
+    if cls is HomPoly:
+        terms = {(i, j, degree - i - j): c for (i, j), c in terms.items()}
+    return cls._clean({e: Scalar(Fraction(a, den), Fraction(b, den), field_d)
+                       for e, (a, b) in terms.items()}, degree)
 
 
 def _total_degree(terms):
@@ -505,9 +509,9 @@ def _divide_out(factored, den, field_d, degrees):
     """
     (g, gden), quotients = factored
     gdeg = min(n - _total_degree(q) for (q, _s), n in zip(quotients, degrees))
-    comps = [_from_chart(q, s * den, field_d, n - gdeg)
+    comps = [_from_chart(HomPoly, q, s * den, field_d, n - gdeg)
              for (q, s), n in zip(quotients, degrees)]
-    return comps, (_from_chart(g, gden, field_d, gdeg) if gdeg else None)
+    return comps, (_from_chart(HomPoly, g, gden, field_d, gdeg) if gdeg else None)
 
 
 def _reduce(forms):
@@ -551,13 +555,15 @@ def poly_gcd(p, q):
 
 def _substitute2(fterms, gs, one, zero):
     """f(g0, g1, ...) for each term dict f of fterms, whose exponent tuples
-    have one entry per element of gs: the one substitution routine.
+    have one entry per element of gs.
 
     Each distinct monomial in f's support is built once, as one product of
     a lower monomial (cached for this call) with an element of gs.  The gs
-    need `*`, `+` and `mul_ground` by a coefficient of f: HomPoly and BiPoly
-    over Scalar, and the dehomogenized Polys over ZZ and PairPolys of
-    `compose_reduce`.
+    need `*`, `+` and `mul_ground` by a coefficient of f: PairPolys, from
+    `_substitute_on_chart` and `compose_reduce` over Q(sqrt(d)), and the
+    dehomogenized sympy Polys over ZZ of `compose_reduce` over Q.  A
+    monomial is built by walking down to the nearest cached one, with no
+    recursion, so a high power is no deeper than a low one.
     """
     n = len(gs)
     monos = {(0,) * n: one}
@@ -565,12 +571,15 @@ def _substitute2(fterms, gs, one, zero):
         monos[tuple(int(a == t) for a in range(n))] = g
 
     def monomial(e):
-        if e not in monos:
+        chain = []  # the monomials to build, each from the next one down
+        while e not in monos:
             t = next(a for a in range(n) if e[a])
-            lower = list(e)
-            lower[t] -= 1
-            monos[e] = monomial(tuple(lower)) * gs[t]
-        return monos[e]
+            chain.append((e, t))
+            e = e[:t] + (e[t] - 1,) + e[t + 1:]
+        m = monos[e]
+        for e, t in reversed(chain):
+            m = monos[e] = m * gs[t]
+        return m
 
     hs = []
     for terms in fterms:
@@ -581,23 +590,52 @@ def _substitute2(fterms, gs, one, zero):
     return hs
 
 
+def _substitute_on_chart(fs, gs):
+    """(field_d, [(h, s) for each f in fs]): h is the chart (`_chart`) of
+    s * f(g0, g1, ...) for a term dict f over Scalar whose exponent tuples
+    have one entry per g, and s a positive int.  The gs are HomPolys or
+    BiPolys; every product and substitution of them runs here, on ints.
+
+    The gs scale by their least common denominator den to PairPolys.  Each
+    f scales by its own, fden, and each term of exponents e by
+    den^(top - |e|) for f's total degree top, so that s = fden * den^top,
+    and `_substitute2` forms the products of the PairPolys.
+    IncompatibleField when the coefficients lie in two fields.
+    """
+    field_d = _field_of(gs, fs)
+    den, charts = _chart(gs)
+    fpairs, scales = [], []
+    for f in fs:
+        top = max(map(sum, f), default=0)
+        fden = _den(f)
+        pairs = {}
+        for e, c in f.items():
+            m = fden * den ** (top - sum(e))
+            pairs[e] = (c.a.numerator * (m // c.a.denominator),
+                        c.b.numerator * (m // c.b.denominator))
+        fpairs.append(pairs)
+        scales.append(fden * den ** top)
+    hs = _substitute2(fpairs, [PairPoly(t, field_d) for t in charts],
+                      PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d))
+    return field_d, [(h.terms, s) for h, s in zip(hs, scales)]
+
+
+def _substitute(f, gs, cls, degree):
+    """f(g0, g1, ...) as the cls of the given degree (ignored for a BiPoly),
+    built once from `_substitute_on_chart`."""
+    field_d, ((h, s),) = _substitute_on_chart([f], gs)
+    return _from_chart(cls, h, s, field_d, degree)
+
+
 def _chart_images(mons, comps):
     """(field_d, images): images[k] holds the z = 1 chart terms of
     s * mons[k](comps) for exponent triples mons[k] and one nonzero
     constant s shared by every k: {(i, j): int} over Q, {(i, j): (A, B)}
-    for A + B*sqrt(d) over Q(sqrt(d)).
-
-    Both fields substitute on int pairs in one `_substitute2` call, Q with
-    B = 0: for these small polynomials that is about twice as fast as
-    sympy's Polys over ZZ.
-    """
-    field_d = _field_of(comps)
-    gs = [PairPoly(t, field_d) for t in _chart(comps)[1]]
-    hs = _substitute2([{m: (1, 0)} for m in mons], gs,
-                      PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d))
+    for A + B*sqrt(d) over Q(sqrt(d))."""
+    field_d, hs = _substitute_on_chart([{m: SONE} for m in mons], comps)
     if field_d:
-        return field_d, [h.terms for h in hs]
-    return 0, [{e: a for e, (a, _b) in h.terms.items()} for h in hs]
+        return field_d, [h for h, _s in hs]
+    return 0, [{e: a for e, (a, _b) in h.items()} for h, _s in hs]
 
 
 def compose_reduce(fcomps, gcomps):
@@ -618,7 +656,7 @@ def compose_reduce(fcomps, gcomps):
     if all(len(p.terms) == 1 for p in fcomps) and \
             all(len(p.terms) == 1 for p in gcomps):
         return _compose_monomials(fcomps, gcomps)
-    field_d = _field_of(list(fcomps) + list(gcomps))
+    field_d = _field_of([*fcomps, *gcomps])
     dg = next(p.degree for p in gcomps if not p.is_zero())
     df = next(p.degree for p in fcomps if not p.is_zero())
     bigdeg = df * dg
@@ -760,7 +798,7 @@ def restrict_to_line(p, L):
     """
     n = p.degree
     lin = [HomPoly({(1, 0, 0): ps, (0, 1, 0): qt}, 1) for ps, qt in parametrize_line(L)]
-    st = _substitute2([p.terms], lin, HomPoly.constant(1), HomPoly.zero(n))[0]
+    st = _substitute(p.terms, lin, HomPoly, n)
     return [st.coefficient((i, n - i, 0)) for i in range(n + 1)]
 
 
@@ -913,7 +951,7 @@ def _find_linear_factor(p, field_d):
             line = (BiPoly.coerce(beta), -gamma * t - alpha, t * beta)
         else:
             line = (-gamma * t, BiPoly.coerce(1), t * alpha)
-        h = _substitute2([p.terms], line, BiPoly.coerce(1), BiPoly({}))[0]
+        h = _substitute(p.terms, line, BiPoly, 0)
         by_t = {}
         for (i, j), c in h.terms.items():
             by_t.setdefault(i, [SZERO] * (n + 1))[j] = c

@@ -88,11 +88,21 @@ class Scalar:
 
     @staticmethod
     def coerce(x):
+        s = Scalar._operand(x)
+        if s is NotImplemented:
+            raise TypeError(f"cannot coerce {x!r} to Scalar")
+        return s
+
+    @staticmethod
+    def _operand(x):
+        """x as the other operand of a binary operator, or NotImplemented
+        when it is not a number, so that Python tries the reflected method
+        of x (a polynomial's, say) and otherwise raises its own TypeError."""
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
             return Scalar(x)
-        raise TypeError(f"cannot coerce {x!r} to Scalar")
+        return NotImplemented
 
     def _join(self, other):
         """Common discriminant for an operation, or raise."""
@@ -132,7 +142,11 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
+        other = Scalar._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not (self.b or other.b):
+            return Scalar(self.a + other.a, _F0)
         d = self._join(other)
         return Scalar(self.a + other.a, self.b + other.b, d)
 
@@ -142,13 +156,19 @@ class Scalar:
         return Scalar(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-Scalar.coerce(other))
+        other = Scalar._operand(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
+        other = Scalar._operand(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
+        other = Scalar._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not (self.b or other.b):
+            return Scalar(self.a * other.a, _F0)
         d = self._join(other)
         return Scalar(
             self.a * other.a + self.b * other.b * d,
@@ -161,16 +181,20 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
+        if not self.b:
+            return Scalar(1 / self.a, _F0)
         n = self.a * self.a - self.b * self.b * self.d
         # n is the field norm; nonzero for nonzero elements of a real or
         # imaginary quadratic field with non-square d.
         return Scalar(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
-        return self * Scalar.coerce(other).inverse()
+        other = Scalar._operand(other)
+        return NotImplemented if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) * self.inverse()
+        other = Scalar._operand(other)
+        return NotImplemented if other is NotImplemented else other * self.inverse()
 
     def __pow__(self, k):
         if k < 0:

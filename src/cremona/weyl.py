@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 from .errors import BUDGET_EXCEEDED, BadDimension, DimensionMismatch, InexactDivision, NotARoot
 from .linalg import charpoly_int, mat_mul
+from .pairpoly import _is_prime, _ueval
 from .unipoly import _intpoly_divmod
 
+_FILTER_PRIME_TOP = 1 << 31
 MODULUS_TOL = 1e-8
 REFINE_TOL = 1e-10
 BFS_BUDGET = 10 ** 6
@@ -172,15 +174,43 @@ def _cyclotomic_indices(k):
     return tuple((d, t) for d in range(1, 2 * k * k + 1) if (t := _totient(d)) <= k)
 
 
+@functools.cache
+def _root_of_unity_mod(d):
+    """(q, w): the largest prime q = 1 mod d below 2^31 and an element w of
+    order d mod q, so that Phi_d(w) = 0 mod q."""
+    q = (_FILTER_PRIME_TOP - 2) // d * d + 1
+    while q % 2 == 0 or not _is_prime(q):
+        q -= d
+    primes, m, r = [], d, 2  # the prime factors of d
+    while m > 1:
+        if m % r == 0:
+            primes.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    g = 2
+    while True:
+        w = pow(g, (q - 1) // d, q)
+        if all(pow(w, d // r, q) != 1 for r in primes):
+            return q, w
+        g += 1
+
+
 def strip_cyclotomic(p):
-    """Divide out all cyclotomic factors; returns (residual, removed), with
-    removed the indices d of the factors Phi_d in ascending order, each as
-    often as it divides. Phi_d is tried only while its degree phi(d) is at
-    most the degree still left."""
+    """Divide out all cyclotomic factors of an integer polynomial; returns
+    (residual, removed), with removed the indices d of the factors Phi_d in
+    ascending order, each as often as it divides. Phi_d is tried only while
+    its degree phi(d) is at most the degree still left, and only while p
+    vanishes mod q at the root w of Phi_d of `_root_of_unity_mod`: a factor
+    Phi_d of p makes p(w) = 0 mod q, so a nonzero value rules it out without
+    a division, and the exact division stays the certificate."""
     p = list(p)
     removed = []
     for d, t in _cyclotomic_indices(len(p) - 1):
-        while t < len(p):
+        if t >= len(p):
+            continue
+        prime, w = _root_of_unity_mod(d)
+        while t < len(p) and not _ueval(p, w, prime):
             q = _intpoly_divmod(p, cyclotomic(d))
             if q is None:
                 break

@@ -1,11 +1,13 @@
 """Exact quadratic-field scalars: arithmetic axioms and square roots."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cremona.errors import IncompatibleField
+from cremona.poly import BiPoly, HomPoly
 from cremona.scalars import Scalar
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -85,3 +87,24 @@ def test_rational_scalar_hashes_as_its_number():
     assert Scalar(half) == half and hash(Scalar(half)) == hash(half)
     assert {half: "h"}[Scalar(half)] == "h"
     assert len({Scalar(2), 2, Fraction(2)}) == 1
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_binary_operators_defer_to_a_non_number_operand(op):
+    """A non-number operand gets NotImplemented, so its reflected method runs
+    (a polynomial's) or Python raises its own TypeError; an explicit
+    `Scalar.coerce` still raises."""
+    assert getattr(Scalar(2), f"__{op.__name__}__")(None) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(Scalar(2), None)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(None, Scalar(2))
+    with pytest.raises(TypeError, match="cannot coerce"):
+        Scalar.coerce(None)
+
+
+def test_scalar_times_polynomial_is_the_polynomial_times_scalar():
+    x, b = HomPoly.var("x"), BiPoly.var("x")
+    assert Scalar(2) * x == x * Scalar(2) == HomPoly({(1, 0, 0): 2})
+    assert Scalar(0, 1, -3) * b == b * Scalar(0, 1, -3)
+    assert Scalar(2) + b == b + 2 and Scalar(2) - b == 2 - b

@@ -1,76 +1,186 @@
-"""The one substitution routine against term-by-term references.
+"""Products, powers and substitutions on the integer chart against
+term-by-term references.
 
-`poly.substitute`, `BiPoly.subst` (and with it `polyaut.aut_compose`) and
-the ansatz images of `ratmap.inverse` all go through `poly._substitute2`,
-which builds each monomial of the result once, from a lower monomial.  The
-references here expand every term on its own with `__pow__`; composition
-is also checked for associativity and against evaluation at a point, and
-inversion by round trips.
+`_Sparse.__mul__` and `__pow__`, `poly.substitute`, `BiPoly.subst` (and with
+it `polyaut.aut_compose`), `restrict_to_line` and the ansatz images of
+`ratmap.inverse` all run on int pairs through
+`poly._substitute_on_chart`.  The references here multiply term by term in
+`Scalar` arithmetic (`_times`) and build their results with the validating
+constructor, so they share no code with the chart.  Composition is also
+checked for associativity and against evaluation at a point, and inversion
+by round trips.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cremona.catalog import RHO, SIGMA, TAU
-from cremona.poly import BiPoly, HomPoly, substitute
+from cremona.errors import IncompatibleField
+from cremona.poly import BiPoly, HomPoly, LinearForm, parametrize_line, restrict_to_line, substitute
 from cremona.polyaut import PolyAut, aut_compose
 from cremona.ratmap import RatMap, compose, inverse
 from cremona.scalars import Scalar
 
 X, Y = BiPoly.var("x"), BiPoly.var("y")
-FIELDS = (0, -3)  # Q and Q(sqrt -3)
+FIELDS = (0, -3, 2)  # Q, Q(sqrt -3) and Q(sqrt 2)
 small_int = st.integers(min_value=-3, max_value=3)
-small_rational = st.builds(Fraction, small_int, st.integers(min_value=1, max_value=3))
 
 
-def coefficients(d):
-    return st.builds(lambda a, b: Scalar(a, b if d else 0, d), small_rational, small_int)
+def coefficients(d, dens=(1, 2, 3)):
+    """a + b*sqrt(d) with a of denominator in dens and b of denominator 1
+    or the largest of dens."""
+    return st.builds(lambda a, da, b, db: Scalar(Fraction(a, da), Fraction(b, db) if d else 0, d),
+                     small_int, st.sampled_from(dens), small_int, st.sampled_from((1, max(dens))))
 
 
-def hompolys(degree, d):
+def hompolys(degree, d, dens=(1, 2, 3)):
     mons = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
     return st.builds(lambda t: HomPoly(t, degree),
-                     st.dictionaries(st.sampled_from(mons), coefficients(d), max_size=6))
+                     st.dictionaries(st.sampled_from(mons), coefficients(d, dens), max_size=6))
 
 
-def bipolys(degree, d):
+def bipolys(degree, d, dens=(1, 2, 3)):
     mons = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-    return st.builds(BiPoly, st.dictionaries(st.sampled_from(mons), coefficients(d), max_size=5))
+    return st.builds(BiPoly, st.dictionaries(st.sampled_from(mons), coefficients(d, dens),
+                                             max_size=5))
+
+
+# -- references: term by term in Scalar arithmetic ---------------------------------
+
+def _times(s, t):
+    """The product of two term dicts over Scalar, term by term."""
+    out = {}
+    for e1, c1 in s.items():
+        for e2, c2 in t.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Scalar(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _rebuild(cls, terms, degree):
+    return cls(terms, degree) if cls is HomPoly else BiPoly(terms)
+
+
+def _mul_reference(p, q):
+    return _rebuild(type(p), _times(p.terms, q.terms), p.degree + q.degree)
+
+
+def _pow_reference(p, k):
+    terms = {(0,) * len(p.VARS): Scalar(1)}
+    for _ in range(k):
+        terms = _times(terms, p.terms)
+    return _rebuild(type(p), terms, p.degree * k)
+
+
+def _subst_terms(p, images):
+    """The terms of p(images), each term of p expanded on its own."""
+    nvars = len(images[0].VARS)
+    out = {}
+    for e, c in p.terms.items():
+        term = {(0,) * nvars: c}
+        for g, k in zip(images, e):
+            for _ in range(k):
+                term = _times(term, g.terms)
+        for e2, c2 in term.items():
+            out[e2] = out.get(e2, Scalar(0)) + c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _substitute_reference(p, images):
-    f0, f1, f2 = images
-    out = HomPoly.zero(p.degree * f0.degree)
-    for (i, j, k), c in p.terms.items():
-        out = out + f0 ** i * f1 ** j * f2 ** k * c
-    return out
+    return HomPoly(_subst_terms(p, images), p.degree * images[0].degree)
 
 
 def _subst_reference(p, fx, fy):
-    out = BiPoly({})
-    for (i, j), c in p.terms.items():
-        out = out + fx ** i * fy ** j * c
-    return out
+    return BiPoly(_subst_terms(p, (fx, fy)))
 
 
-@settings(max_examples=60, deadline=None)
+def _restrict_reference(p, L):
+    lin = [HomPoly({(1, 0, 0): ps, (0, 1, 0): qt}, 1) for ps, qt in parametrize_line(L)]
+    on_line = _substitute_reference(p, lin)
+    return [on_line.coefficient((i, p.degree - i, 0)) for i in range(p.degree + 1)]
+
+
+def _same(got, want):
+    """Equal term for term, with the same degree and only nonzero Scalars."""
+    assert got.terms == want.terms and got.degree == want.degree
+    assert all(type(c) is Scalar and c for c in got.terms.values())
+
+
+# -- differential tests ----------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.booleans(), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3), st.data())
+def test_products_and_powers_match_term_by_term_reference(d, hom, n, m, data):
+    p = data.draw(hompolys(n, d, (1, 2, 4)) if hom else bipolys(n, d, (1, 2, 4)))
+    q = data.draw(hompolys(m, d, (1, 3, 9)) if hom else bipolys(m, d, (1, 3, 9)))
+    k = data.draw(st.integers(min_value=0, max_value=4))
+    _same(p * q, _mul_reference(p, q))
+    _same(q * p, _mul_reference(p, q))
+    _same(p ** k, _pow_reference(p, k))
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(min_value=0, max_value=4),
-       st.integers(min_value=1, max_value=3), st.data())
+       st.integers(min_value=0, max_value=3), st.data())
 def test_substitute_matches_term_by_term_reference(d, n, m, data):
-    p = data.draw(hompolys(n, d))
-    images = [data.draw(hompolys(m, d)) for _ in range(3)]
+    p = data.draw(hompolys(n, d, (1, 2, 4)))
+    images = [data.draw(hompolys(m, d, (1, 3, 9))) for _ in range(3)]
     got = substitute(p, images)
-    assert got == _substitute_reference(p, images)
+    _same(got, _substitute_reference(p, images))
     assert got.degree == n * m
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(min_value=0, max_value=4), st.data())
+def test_bipoly_subst_matches_term_by_term_reference(d, n, data):
+    p = data.draw(bipolys(n, d, (1, 2, 4)))
+    fx, fy = data.draw(bipolys(3, d, (1, 3, 9))), data.draw(bipolys(3, d, (1, 5)))
+    _same(p.subst(fx, fy), _subst_reference(p, fx, fy))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(min_value=0, max_value=4), st.data())
-def test_bipoly_subst_matches_term_by_term_reference(d, n, data):
-    p = data.draw(bipolys(n, d))
-    fx, fy = data.draw(bipolys(3, d)), data.draw(bipolys(3, d))
-    assert p.subst(fx, fy) == _subst_reference(p, fx, fy)
+def test_restrict_to_line_matches_term_by_term_reference(d, n, data):
+    p = data.draw(hompolys(n, d, (1, 2, 4)))
+    coeffs = data.draw(st.lists(coefficients(d, (1, 3, 9)), min_size=3, max_size=3)
+                       .filter(any))
+    L = LinearForm(coeffs)
+    assert restrict_to_line(p, L) == _restrict_reference(p, L)
+
+
+def test_zero_and_constant_operands():
+    x, y, z = (HomPoly.var(v) for v in "xyz")
+    images = [x * x * Fraction(1, 2), y * z, HomPoly.zero(2)]
+    for n in range(4):
+        zero = substitute(HomPoly.zero(n), images)
+        assert zero.is_zero() and zero.degree == 2 * n
+    p = x ** 2 * Fraction(2, 3) + z ** 2
+    _same(substitute(p, [HomPoly.zero(3)] * 3), HomPoly.zero(6))
+    _same(substitute(HomPoly.constant(Fraction(5, 7)), images), HomPoly.constant(Fraction(5, 7)))
+    _same(p * HomPoly.constant(3), p * 3)
+    _same(p * HomPoly.zero(1), HomPoly.zero(3))
+    _same(HomPoly.zero(2) ** 3, HomPoly.zero(6))
+    _same(p ** 0, HomPoly.constant(1))
+    b = X * Fraction(1, 2) + 3
+    _same(b.subst(BiPoly({}), BiPoly({})), BiPoly({(0, 0): 3}))
+    _same(BiPoly({}).subst(X, Y), BiPoly({}))
+    _same(b ** 0, BiPoly({(0, 0): 1}))
+
+
+def test_mixed_fields_raise_incompatible_field():
+    r3, r2 = Scalar(0, 1, -3), Scalar(0, 1, 2)
+    x, y, z = (HomPoly.var(v) for v in "xyz")
+    p, q = x * r3 + y, y * r2 + z
+    for bad in (lambda: p * q, lambda: q * p, lambda: substitute(p, [q, y, z]),
+                lambda: substitute(x * y * r2, [p, y, z]),
+                lambda: (X * r3).subst(Y * r2, X), lambda: (X + Y).subst(X * r3, Y * r2),
+                lambda: restrict_to_line(p, LinearForm([1, r2, 0])),
+                lambda: (X * r3 + 1) * (Y * r2 + 1)):
+        with pytest.raises(IncompatibleField):
+            bad()
 
 
 # -- Jung words ------------------------------------------------------------------

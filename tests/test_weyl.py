@@ -11,6 +11,7 @@ from cremona.unipoly import _intpoly_divmod, pmul
 from cremona.weyl import (
     BFS_BUDGET,
     _cyclotomic_indices,
+    _root_of_unity_mod,
     char_poly,
     cyclic_permutation,
     cyclotomic,
@@ -217,13 +218,15 @@ def test_charpoly_of_weyl_conjugates_is_mcmullens_closed_form(n):
 
 
 def _strip_every_d(p):
-    """strip_cyclotomic's reference: try every Phi_d with d <= 2 k^2, where
-    k is the input degree, whatever the degree of Phi_d."""
+    """strip_cyclotomic's reference: trial division by every Phi_d with
+    d <= 2 k^2, k the input degree, while phi(d) from the sieve `_totients`
+    fits the degree still left; no index table and no modular filter."""
     p = list(p)
     removed = []
     deg0 = len(p) - 1
-    for d in range(1, 2 * deg0 * deg0 + 1):
-        while len(p) > 1:
+    phi = _totients(2 * deg0 * deg0)
+    for d in range(1, len(phi)):
+        while phi[d] < len(p):
             q = _intpoly_divmod(p, cyclotomic(d))
             if q is None:
                 break
@@ -232,13 +235,35 @@ def _strip_every_d(p):
     return p, removed
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), max_size=2), st.booleans())
-def test_strip_cyclotomic_matches_every_d_reference(ds, with_lehmer):
+_PHI = _totients(30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=30),
+                          st.integers(min_value=1, max_value=3)), max_size=2)
+       .filter(lambda fs: sum(_PHI[d] * m for d, m in fs) <= 60), st.booleans())
+def test_strip_cyclotomic_matches_every_d_reference(factors, with_lehmer):
+    """Products of Phi_d, d <= 30, each up to the third power, with and
+    without Lehmer's polynomial."""
     p = LEHMER if with_lehmer else [1]
-    for d in ds:
-        p = pmul(p, cyclotomic(d), zero=0)
+    for d, m in factors:
+        for _ in range(m):
+            p = pmul(p, cyclotomic(d), zero=0)
     residual, removed = strip_cyclotomic(p)
     assert (residual, removed) == _strip_every_d(p)
-    assert removed == sorted(ds)
+    assert removed == sorted(d for d, m in factors for _ in range(m))
     assert residual == (LEHMER if with_lehmer else [1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12, 30])
+def test_strip_cyclotomic_divides_where_the_filter_passes(d):
+    """Phi_d + q vanishes at the filter's root w mod q, but Phi_d does not
+    divide it: the exact division decides."""
+    prime, w = _root_of_unity_mod(d)
+    assert (prime - 1) % d == 0 and all(pow(w, k, prime) != 1 for k in range(1, d))
+    p = list(cyclotomic(d))
+    p[0] += prime
+    p = pmul(p, cyclotomic(d), zero=0)
+    residual, removed = strip_cyclotomic(p)
+    assert (residual, removed) == _strip_every_d(p)
+    assert removed.count(d) == 1
