@@ -88,12 +88,12 @@ def _cmd_classify_quadratic(args):
 def _cmd_growth(args):
     f = parse_ratmap(args.f)
     seq = degree_sequence(f, args.n)
-    cls = growth_classify(seq)
     if args.format == "csv":
         sys.stdout.write("k,degree\n")
         for k, d in enumerate(seq.degrees, start=1):
             sys.stdout.write(f"{k},{d}\n")
         return
+    cls = growth_classify(seq)
     _emit("growth", {
         "degrees": seq.degrees,
         "horizon": seq.horizon,

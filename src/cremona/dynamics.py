@@ -1,16 +1,19 @@
-"""Degree growth of iterated plane maps and dynamical-degree estimates.
+"""Degree growth of iterated plane maps and dynamical degrees.
 
 Iterate degrees are exact: each composition divides out the common factor,
 so the reported degrees belong to the reduced iterates, not to the naive
-degree products.  Growth classification at a finite horizon is a heuristic
-fit (Bounded is certified exactly via map equality; the polynomial and
-exponential regimes are least-squares fits with a residual margin).
+degree products.  Growth classification at a finite horizon is exact too:
+Bounded is certified by map equality, otherwise the class and the dynamical
+degree come from the shortest linear recurrence of the degrees, accepted
+only when the window confirms it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     NOT_CONTRACTED,
@@ -21,11 +24,12 @@ from .errors import (
 )
 from .poly import factor_linear_cubic, jacobian_det
 from .ratmap import compose, is_contracted_line
+from .weyl import salem_classify
 
 DIGIT_BUDGET = 10 ** 6
 DEFAULT_HORIZON_QUADRATIC = 12
 DEFAULT_HORIZON_CUBIC = 8
-RESIDUAL_MARGIN = 0.15
+_POLYNOMIAL_GROWTH = {1: "Bounded", 2: "Linear", 3: "Quadratic"}
 
 
 def default_horizon(f):
@@ -95,67 +99,58 @@ def lambda_estimate(seq):
     return math.sqrt(d_n ** (1.0 / n) * d_n / d_prev)
 
 
-def _fit_residual(xs, ys):
-    """Slope and relative residual of the least-squares line through (xs, ys)."""
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return None, float("inf")
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    icept = my - slope * mx
-    res = math.sqrt(sum((y - (slope * x + icept)) ** 2 for x, y in zip(xs, ys)) / n)
-    scale = max(abs(y) for y in ys) or 1.0
-    return slope, res / scale
+def _recurrence(degs):
+    """Characteristic polynomial chi of the shortest linear recurrence of degs,
+    by Berlekamp-Massey over Fractions: ints, constant term first, monic.
+    None when chi is not integral or the window has fewer than 2L + 2 terms
+    for its order L: 2L terms fix the recurrence and two more confirm it.
+    """
+    s = [Fraction(d) for d in degs]
+    c, b = [Fraction(1)], [Fraction(1)]  # connection polynomials, constant first
+    order, shift, b_delta = 0, 1, Fraction(1)
+    for n in range(len(s)):
+        delta = sum(ci * s[n - i] for i, ci in enumerate(c[:order + 1]))
+        if delta:
+            prev, c = c, c + [Fraction(0)] * (len(b) + shift - len(c))
+            for i, bi in enumerate(b):
+                c[i + shift] -= delta / b_delta * bi
+            if 2 * order <= n:
+                order, b, b_delta, shift = n + 1 - order, prev, delta, 0
+        shift += 1
+    chi = (c + [Fraction(0)] * order)[order::-1]  # x^L C(1/x)
+    if len(s) < 2 * order + 2 or any(v.denominator != 1 for v in chi):
+        return None
+    return [int(v) for v in chi]
 
 
 def growth_classify(seq):
     """Bounded / Linear / Quadratic / Exponential / Undetermined.
 
-    seq may be a DegreeSequence or a plain list of degrees.  Boundedness is
-    certified by exact iterate repetition, recorded on the sequence as its
-    period; the other labels come from least-squares fits of d_k against
-    k, k^2 and of log d_k against k, accepted below relative residual 0.15,
-    ties giving Undetermined.
+    seq may be a DegreeSequence or a plain list of degrees.  An exact period
+    of the iterates certifies Bounded.  Otherwise chi = _recurrence(degrees),
+    with the x^t of a transient stripped, goes to salem_classify (Diller &
+    Favre, Amer. J. Math. 123, 2001): a Pisot or Salem residual is
+    Exponential with lambda its dominant root, and an all-cyclotomic chi is
+    Bounded, Linear or Quadratic as the highest multiplicity of a cyclotomic
+    factor is 1, 2 or 3.  The rest is Undetermined, with lambda_estimate.
     """
-    if isinstance(seq, DegreeSequence):
-        degs = seq.degrees
-        period = seq.period
-    else:
-        degs = list(seq)
-        period = 0
+    degs = seq.degrees if isinstance(seq, DegreeSequence) else list(seq)
+    period = seq.period if isinstance(seq, DegreeSequence) else 0
     if period or (max(degs) == 1):
         return GrowthClass("Bounded", 1.0, {"period": period})
-    ks = list(range(1, len(degs) + 1))
-    ys = [float(d) for d in degs]
-    # a sequence whose maximum is reached early and never exceeded is bounded
-    slope0, _ = _fit_residual(ks, ys)
-    if slope0 is not None and slope0 < 0.05 and max(degs) == max(degs[: (len(degs) + 1) // 2]):
-        return GrowthClass("Bounded", 1.0, {"period": period})
-    fits = []
-    slope, r_lin = _fit_residual(ks, ys)
-    if slope is not None and slope > 0:
-        fits.append((r_lin, "Linear"))
-    slope, r_quad = _fit_residual([k * k for k in ks], ys)
-    if slope is not None and slope > 0:
-        fits.append((r_quad, "Quadratic"))
-    slope, r_exp = _fit_residual(ks, [math.log(d) for d in degs])
-    if slope is not None and slope > math.log(1.05):
-        fits.append((r_exp, "Exponential"))
-    fits.sort()
-    evidence = {
-        "residual_linear": r_lin,
-        "residual_quadratic": r_quad,
-        "residual_exponential": r_exp,
-    }
     lam = lambda_estimate(degs) if len(degs) >= 2 else float(degs[0])
-    if not fits or fits[0][0] >= RESIDUAL_MARGIN:
-        return GrowthClass("Undetermined", lam, evidence)
-    label = fits[0][1]
-    if label != "Exponential":
-        lam = 1.0
-    return GrowthClass(label, lam, evidence)
+    chi = _recurrence(degs)
+    if chi is None:
+        return GrowthClass("Undetermined", lam, {})
+    rep = salem_classify(chi[next(i for i, v in enumerate(chi) if v):])
+    evidence = {"recurrence": chi, "lambda_class": rep.kind}
+    if rep.kind in ("Pisot", "Salem"):
+        return GrowthClass("Exponential", rep.dominant_root, evidence)
+    if rep.kind == "Cyclotomic":
+        label = _POLYNOMIAL_GROWTH.get(max(Counter(rep.removed_cyclotomic).values()))
+        if label:
+            return GrowthClass(label, 1.0, evidence)
+    return GrowthClass("Undetermined", lam, evidence)
 
 
 def contraction_targets(f):

@@ -87,6 +87,16 @@ def test_growth_csv(capsys):
     assert lines[1] == "1,2" and lines[2] == "2,1"
 
 
+def test_growth_json_evidence(capsys):
+    code, data = run_json(capsys, "growth", "--f", "y*z:x*z:x*y", "--n", "4")
+    assert code == 0
+    assert data["label"] == "Bounded" and data["evidence"] == {"period": 2}
+    code, data = run_json(capsys, "growth", "--f", "x^2*y : x*y*z : z^3", "--n", "6")
+    assert code == 0
+    assert data["label"] == "Exponential"
+    assert data["evidence"] == {"recurrence": [1, -3, 1], "lambda_class": "Pisot"}
+
+
 def test_map_round_trip(capsys):
     code, data = run_json(capsys, "invert", "--f",
                           "y^2*z : x^2*z + x*y^2 : x*y*z + y^3",

@@ -3,7 +3,7 @@
 import pytest
 
 import cremona.dynamics as dynamics
-from cremona.catalog import f_ab, f_alphabeta, phi_map
+from cremona.catalog import f_ab, f_alphabeta, mcmullen_map, phi_map
 from cremona.dynamics import (
     degree_sequence,
     growth_classify,
@@ -12,8 +12,11 @@ from cremona.dynamics import (
 )
 from cremona.errors import DegreeMismatch
 from cremona.ratmap import parse_ratmap
+from cremona.scalars import Scalar
 
 SIGMA = parse_ratmap("y*z : x*z : x*y")
+PLASTIC = 1.324717957244746  # the real root of x^3 - x - 1
+GOLDEN = (1 + 5 ** 0.5) / 2
 
 
 def test_involution_is_bounded_with_period_two():
@@ -32,7 +35,7 @@ def test_phi3_degrees_constant():
 def test_linear_growth_family():
     f = f_alphabeta(2, 3)
     seq = degree_sequence(f, 12)
-    assert seq.degrees == list(range(2, 14))[:1] + seq.degrees[1:]  # starts at 2
+    assert seq.degrees == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
     cls = growth_classify(seq)
     assert cls.label == "Linear"
     assert cls.lambda_estimate == 1.0
@@ -45,6 +48,63 @@ def test_exponential_growth_bk_family():
     assert cls.label == "Exponential"
     lam = lambda_estimate(seq)
     assert abs(lam - 1.32471795) / 1.32471795 < 0.05
+
+
+@pytest.mark.parametrize("f", [f_ab(1, 2), mcmullen_map(1, 2), f_ab(Scalar(0, 1, -3), 2)])
+def test_plastic_number_from_eight_iterates(f):
+    # 2, 2, 3, 4, 5, 7, 9, 12 follow d(n+3) = d(n+1) + d(n), of order 3
+    seq = degree_sequence(f, 8)
+    assert seq.degrees == [2, 2, 3, 4, 5, 7, 9, 12]
+    cls = growth_classify(seq)
+    assert cls.label == "Exponential"
+    assert abs(cls.lambda_estimate - PLASTIC) < 1e-12
+    assert cls.evidence == {"recurrence": [-1, -1, 0, 1], "lambda_class": "Pisot"}
+
+
+def test_monomial_map_is_pisot():
+    seq = degree_sequence(parse_ratmap("x^2*y : x*y*z : z^3"), 6)
+    assert seq.degrees == [3, 8, 21, 55, 144, 377]
+    cls = growth_classify(seq)
+    assert cls.label == "Exponential"
+    assert cls.evidence["lambda_class"] == "Pisot"
+    assert abs(cls.lambda_estimate - (3 + 5 ** 0.5) / 2) < 1e-12
+
+
+# (closed form d(n), label, lambda, chi constant term first); chi has order L
+CLOSED_FORMS = [
+    (lambda n: (2, 3, 5)[n % 3], "Bounded", 1.0, [-1, 0, 0, 1]),
+    (lambda n: 3 + 2 * n, "Linear", 1.0, [1, -2, 1]),
+    (lambda n: 1 + n + n * n, "Quadratic", 1.0, [-1, 3, -3, 1]),
+    (lambda n: round(GOLDEN ** (n + 3) / 5 ** 0.5), "Exponential", GOLDEN, [-1, -1, 1]),
+    (lambda n: 2 ** n, "Exponential", 2.0, [-2, 1]),
+]
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS)
+@pytest.mark.parametrize("transient", [(), (9,), (1, 9)])
+def test_closed_forms_need_2L_plus_2_terms(closed_form, transient):
+    # every term before the recurrence takes hold adds a factor x to chi
+    d, label, lam, chi = closed_form
+    chi = [0] * len(transient) + chi
+    terms = 2 * (len(chi) - 1) + 2
+    degs = list(transient) + [d(n) for n in range(terms - len(transient))]
+    cls = growth_classify(degs)
+    assert cls.label == label
+    assert abs(cls.lambda_estimate - lam) < 1e-12
+    assert cls.evidence["recurrence"] == chi
+    short = growth_classify(degs[:-1])
+    assert short.label == "Undetermined"
+    assert short.lambda_estimate == lambda_estimate(degs[:-1])
+    assert short.evidence == {}
+
+
+def test_non_integral_recurrence_is_undetermined():
+    # 16 (3/2)^n: the shortest recurrence d(n+1) = 3/2 d(n) is not over Z
+    degs = [16, 24, 36, 54, 81]
+    assert dynamics._recurrence(degs) is None
+    cls = growth_classify(degs)
+    assert cls.label == "Undetermined"
+    assert cls.lambda_estimate == lambda_estimate(degs)
 
 
 def test_submultiplicative_assertion_holds():

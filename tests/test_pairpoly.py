@@ -236,6 +236,23 @@ def test_prime_dividing_the_leading_norm_is_skipped():
         pairpoly._modular_gcd(polys, e, [p])
 
 
+def test_unlucky_evaluation_points_fail_the_division_check():
+    # At x = 1 the y-gcd of the images is y - 1 and at x = 2 it is y + 1,
+    # over Z, so every prime meets the same unlucky points.  Interpolated,
+    # they give 2x + y - 3, which divides h1 and h2 but not h3: only the
+    # division check of each image rejects it.
+    for e in (-3, 2):
+        def line(a, b, c):
+            return PairPoly({(1, 0): (a, 0), (0, 1): (b, 0), (0, 0): (c, 0)}, e)
+        polys = [(line(1, 1, -1) * line(2, 1, -3)).terms,  # (x + y - 1)(2x + y - 3)
+                 line(-2, -1, 3).terms,                    # 3 - 2x - y
+                 (line(1, 1, -1) * line(1, 1, -2)).terms]  # (x + y - 1)(x + y - 2)
+        primes = [pairpoly._prime(k) for k in range(12)]
+        g, quotients = pairpoly._modular_gcd(polys, e, primes)
+        assert g == ({(0, 0): (1, 0)}, 1)
+        assert quotients == [(h, 1) for h in polys]
+
+
 def test_primes_are_prime():
     primes = [pairpoly._prime(k) for k in range(6)]
     assert primes == sorted(primes, reverse=True) and primes[0] < 2**62
