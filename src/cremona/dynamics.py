@@ -68,7 +68,7 @@ def degree_sequence(f, N=None):
     if N < 1:
         raise ValueError("horizon must be at least 1")
     degs = [f.degree]
-    seen = [f]
+    seen = {f: 1}  # iterate -> its first step
     period = 0
     cur = f
     for k in range(2, N + 1):
@@ -79,19 +79,24 @@ def degree_sequence(f, N=None):
         cur = compose(f, cur)
         degs.append(cur.degree)
         if not period:
-            for j, old in enumerate(seen):
-                if cur.degree == old.degree and cur == old:
-                    period = k - (j + 1)
-                    break
-            seen.append(cur)
+            period = k - seen.setdefault(cur, k)
     if not all(degs[i + 1] <= degs[i] * degs[0] for i in range(len(degs) - 1)):
         raise DegreeMismatch(f"degree sequence {degs} is not submultiplicative")
     return DegreeSequence(degrees=degs, horizon=N, period=period)
 
 
+def _degrees(seq):
+    """The degrees of a DegreeSequence or of a plain list; ValueError on a
+    degree below 1."""
+    degs = seq.degrees if isinstance(seq, DegreeSequence) else list(seq)
+    if min(degs, default=1) < 1:
+        raise ValueError(f"iterate degrees must be at least 1: {degs}")
+    return degs
+
+
 def lambda_estimate(seq):
     """Geometric mean of d_N^(1/N) and the last ratio d_N/d_(N-1)."""
-    degs = seq.degrees if isinstance(seq, DegreeSequence) else list(seq)
+    degs = _degrees(seq)
     if len(degs) < 2:
         raise ValueError("need at least two iterate degrees")
     n = len(degs)
@@ -134,7 +139,7 @@ def growth_classify(seq):
     Bounded, Linear or Quadratic as the highest multiplicity of a cyclotomic
     factor is 1, 2 or 3.  The rest is Undetermined, with lambda_estimate.
     """
-    degs = seq.degrees if isinstance(seq, DegreeSequence) else list(seq)
+    degs = _degrees(seq)
     period = seq.period if isinstance(seq, DegreeSequence) else 0
     if period or (max(degs) == 1):
         return GrowthClass("Bounded", 1.0, {"period": period})

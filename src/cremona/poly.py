@@ -8,7 +8,8 @@ hashing, + - * ** `mul_ground`, evaluation and printing.  Arithmetic builds
 its results with the trusted `_clean`, dropping cancelled terms as they
 arise; only outside callers go through the validating constructor.
 `proportionality(ps, qs)`, the scalar c with ps[i] == c * qs[i], is the one
-proportionality test, behind `RatMap.__eq__` and `jung_decompose`.
+proportionality test, behind `jung_decompose`; maps need none, since
+`_canonical` gives every `RatMap` one representative of its class.
 
 Sums and `mul_ground` stay in Scalar arithmetic.  Every product and
 substitution of HomPolys and BiPolys runs on ints, in
@@ -36,7 +37,10 @@ it as charts: over Q, gcd cofactors of sympy Polys over ZZ
 Q(sqrt(d)), the modular gcd of `pairpoly`, certified by trial division.
 `_divide_out` turns either answer into components and a removed factor for
 `compose_reduce`, `reduce_triple` and `poly_gcd`, and `divide_exact` is
-`pairpoly`'s trial division on two charts.  `parse_poly` reads the input
+`pairpoly`'s trial division on two charts.  `compose_reduce` keeps no
+scale: its components are right up to a constant, and `_canonical`, on the
+same charts, scales forms to content 1 in Z[sqrt(d)] with a positive
+rational lex-leading coefficient.  `parse_poly` reads the input
 grammar with `ast` and evaluates it without Python's `eval`.
 """
 
@@ -450,6 +454,34 @@ def _from_chart(cls, terms, den, field_d, degree):
                        for e, (a, b) in terms.items()}, degree)
 
 
+def _canonical(forms):
+    """The one representative of the projective class of the forms.
+
+    On their joint z = 1 chart (`_chart`), the forms are multiplied by the
+    conjugate a - b*sqrt(d) of the lex-leading coefficient a + b*sqrt(d) of
+    the first nonzero form when b != 0, which makes that coefficient
+    rational, and then divided by the joint gcd of every A and B of the
+    A + B*sqrt(d), signed so that it ends up positive.  The result has
+    coefficients in Z[sqrt(d)] with content 1; two proportional lists of
+    forms give equal results.  Forms that are canonical already come back
+    as they are.
+    """
+    field_d = _field_of(forms)
+    den, charts = _chart(forms)
+    lead = next(t for t in charts if t)
+    a, b = lead[max(lead)]
+    if b:
+        charts = [PairPoly(t, field_d).mul_ground((a, -b)).terms for t in charts]
+        a = a * a - field_d * b * b
+    g = math.gcd(*(v for t in charts for pair in t.values() for v in pair))
+    if a < 0:
+        g = -g
+    if den == 1 and g == 1 and not b:
+        return list(forms)
+    return [_from_chart(HomPoly, {k: (u // g, v // g) for k, (u, v) in t.items()},
+                        1, field_d, p.degree) for t, p in zip(charts, forms)]
+
+
 def _total_degree(terms):
     return max(i + j for i, j in terms)
 
@@ -647,11 +679,12 @@ def compose_reduce(fcomps, gcomps):
     with g's, and `_divide_out` takes the common factor and the components
     from a gcd kernel that also returns the quotients, with no polynomial
     exact division.  The kernel is picked by the field: over Q, sympy's
-    Polys over ZZ substitute and take gcd cofactors (`_common_factor`),
-    and the joint integer content is divided out first; over Q(sqrt(d)),
-    PairPolys substitute and the modular gcd of `pairpoly` is certified by
-    trial division, whose quotients are the components.  On both, the
-    components are h / g for the gcd g made monic in lex order with x > y.
+    Polys over ZZ substitute and take gcd cofactors (`_common_factor`);
+    over Q(sqrt(d)), PairPolys substitute and the modular gcd of `pairpoly`
+    is certified by trial division, whose quotients are the components.  On
+    both, the common factor is the gcd made monic in lex order with x > y,
+    and the components are the h / g up to one constant factor, which
+    `RatMap` replaces by its canonical one (`_canonical`).
     """
     if all(len(p.terms) == 1 for p in fcomps) and \
             all(len(p.terms) == 1 for p in gcomps):
@@ -660,8 +693,8 @@ def compose_reduce(fcomps, gcomps):
     dg = next(p.degree for p in gcomps if not p.is_zero())
     df = next(p.degree for p in fcomps if not p.is_zero())
     bigdeg = df * dg
-    sf, fcharts = _chart(fcomps)
-    sg, gcharts = _chart(gcomps)
+    fcharts = _chart(fcomps)[1]
+    gcharts = _chart(gcomps)[1]
     if field_d:
         gs = [PairPoly(t, field_d) for t in gcharts]
         one, zero = PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d)
@@ -676,19 +709,9 @@ def compose_reduce(fcomps, gcomps):
         return [HomPoly.zero(0)] * 3, None
     if field_d:
         factored = gcd_cofactors([h.terms for h in nonzero], field_d)
-        scale = sf * sg ** df  # each h is scale * f_i(g)
-    else:  # over Q the components drop the scale and the joint integer content
-        content = 0
-        for h in nonzero:
-            content = math.gcd(content, int(h.content()))
-        if content > 1:
-            nonzero = [h.exquo_ground(content) for h in nonzero]
+    else:
         factored = _common_factor(nonzero)
-        scale = 1
-    gcd, quotients = factored
-    if len(nonzero) == 1 and max(gcd[0]) != (0, 0):  # a lone component is its own gcd
-        quotients, scale = [({(0, 0): (1, 0)}, 1)], 1
-    comps, factor = _divide_out((gcd, quotients), scale, field_d, [bigdeg] * len(nonzero))
+    comps, factor = _divide_out(factored, 1, field_d, [bigdeg] * len(nonzero))
     it = iter(comps)
     return [next(it) if h else HomPoly.zero(comps[0].degree) for h in hs], factor
 

@@ -1,13 +1,15 @@
 """Polynomial automorphisms of the affine plane.
 
 Composition, inversion, the decomposition into alternating affine /
-elementary factors by leading-term cancellation, and detection of
-Henon-type words with their exact dynamical degree.
+elementary factors by leading-term cancellation (the automorphism check,
+and the one user of `poly.proportionality`), and the Henon test: f is of
+Henon type exactly when deg(f o f) > deg(f), and then its dynamical degree
+is deg(f o f) / deg(f).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NOT_AUTOMORPHISM
 from .poly import BiPoly, HomPoly, parse_poly, proportionality
@@ -199,52 +201,29 @@ def _merge_factors(factors):
     return out
 
 
-def _is_triangular(aut):
-    """Membership in the triangular group (a*x + P(y), b*y + c)."""
-    p, q = aut.components
-    if any(i != 0 for (i, _j) in q.terms):
-        return False
-    if any(i > 1 or (i == 1 and j > 0) for (i, j) in p.terms):
-        return False
-    return (1, 0) in p.terms
-
-
 @dataclass
 class HenonReport:
     is_henon: bool
-    cyclic_factors: list = field(default_factory=list)
     dyn_degree: int = 1
 
 
 def henon_classify(f):
-    """Friedland-Milnor trichotomy from the factor word.
+    """Friedland-Milnor trichotomy from the degrees of f and f o f.
 
-    Henon type iff the cyclically reduced word mixes a strictly-affine
-    factor with a strictly-triangular one; then the dynamical degree is the
-    product of the degrees of the higher-degree triangular factors.
+    By Jung-van der Kulk, f = u o v o u^-1 with v cyclically reduced and
+    the word reduced.  Degree is multiplicative on reduced words (Friedland
+    & Milnor, Ergodic Theory Dynam. Systems 9, 1989), so when v is a Henon
+    word, deg(f^n) = deg(u)^2 * deg(v)^n, and when v is affine or
+    triangular, deg(f o f) <= deg(f).  So f is of Henon type exactly when
+    deg(f o f) > deg(f), with dynamical degree deg(f o f) / deg(f).
+    `jung_decompose` is the automorphism check.
     """
-    word = jung_decompose(f)
-    if word is NOT_AUTOMORPHISM:
+    if jung_decompose(f) is NOT_AUTOMORPHISM:
         return NOT_AUTOMORPHISM
-    strict_affine = 0
-    henon_parts = []
-    for fac in word.factors:
-        if fac.kind == "affine" and not _is_triangular(fac.aut):
-            strict_affine += 1
-        if fac.kind == "elementary" and fac.degree >= 2:
-            henon_parts.append(fac)
-    if strict_affine == 0 or not henon_parts:
-        return HenonReport(is_henon=False, dyn_degree=1)
-    dyn = 1
-    cyc = []
-    for fac in henon_parts:
-        dp = fac.degree
-        dyn *= dp
-        # normal form (y, P(y) - delta*x) built from the triangular factor
-        p, _q = fac.aut.components
-        poly = BiPoly({(0, j): c for (i, j), c in p.terms.items() if i == 0})
-        cyc.append(PolyAut((_Y, poly - _X)))
-    return HenonReport(is_henon=True, cyclic_factors=cyc, dyn_degree=dyn)
+    d1, d2 = f.degree, aut_compose(f, f).degree
+    if d2 <= d1:
+        return HenonReport(is_henon=False)
+    return HenonReport(is_henon=True, dyn_degree=d2 // d1)
 
 
 def aut_inverse(f):

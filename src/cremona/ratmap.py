@@ -1,10 +1,12 @@
 """Rational self-maps of the projective plane.
 
-A RatMap is a coprime triple of homogeneous forms of a common degree.
-Besides composition and ansatz-based inversion this module carries the
-quadratic birationality criterion (det-jac splits into contracted lines),
-the base points of a quadratic map read off its contracted lines, the
-base-point multiplicity solver, and de Jonquieres elements.
+A RatMap is a coprime triple of homogeneous forms of a common degree, kept
+as the one representative of its class up to scalars that
+`poly._canonical` picks, so map equality compares components and maps
+hash.  Besides composition and ansatz-based inversion this module carries
+the quadratic birationality criterion (det-jac splits into contracted
+lines), the base points of a quadratic map read off its contracted lines,
+the base-point multiplicity solver, and de Jonquieres elements.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .linalg import nullspace
 from .poly import (
     HomPoly,
     LinearForm,
+    _canonical,
     _chart_images,
     _field_of,
     compose_reduce,
@@ -25,7 +28,6 @@ from .poly import (
     jacobian_det,
     parametrize_line,
     parse_poly,
-    proportionality,
     reduce_triple,
     restrict_to_line,
 )
@@ -66,7 +68,12 @@ class ProjPoint:
 
 
 class RatMap:
-    """Coprime homogeneous triple (f0 : f1 : f2)."""
+    """Coprime homogeneous triple (f0 : f1 : f2), kept as the one
+    representative of its projective class that `poly._canonical` picks:
+    coefficients in Z[sqrt(d)] with content 1 and a positive rational
+    lex-leading coefficient of the first nonzero component.  So maps that
+    are equal up to a scalar have equal components, and equality and
+    hashing compare them."""
 
     __slots__ = ("components", "removed_factor")
 
@@ -79,7 +86,7 @@ class RatMap:
         degs = {c.degree for c in components if not c.is_zero()}
         if len(degs) != 1:
             raise ValueError("components must share a degree")
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "components", tuple(_canonical(components)))
         object.__setattr__(self, "removed_factor", removed_factor)
 
     def __setattr__(self, *_):
@@ -109,11 +116,13 @@ class RatMap:
         return self.degree == 1 and self == RatMap.identity()
 
     def __eq__(self, other):
-        """Projective equality (equal up to a scalar factor)."""
+        """Projective equality: the canonical components are equal."""
         if not isinstance(other, RatMap):
             return NotImplemented
-        return self.degree == other.degree and \
-            proportionality(self.components, other.components) is not None
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash(self.components)
 
     def apply(self, pt):
         """Image of a ProjPoint, or None when pt is an indeterminacy point."""

@@ -160,15 +160,15 @@ def peval_mobius(p, num, den, zero=SZERO, one=SONE):
 
 
 class RatFunc:
-    """Reduced rational function num/den in one named variable over Scalar.
+    """Reduced rational function num/den in the variable y over Scalar.
 
     The denominator is monic and coprime to the numerator, so equality is
     syntactic.
     """
 
-    __slots__ = ("num", "den", "var")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, var="y"):
+    def __init__(self, num, den=None):
         if den is None:
             den = [SONE]
         num = pstrip([Scalar.coerce(c) for c in num])
@@ -187,26 +187,17 @@ class RatFunc:
         den = [c / lead for c in den]
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", tuple(den))
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, *_):
         raise AttributeError("RatFunc is immutable")
 
     @staticmethod
-    def coerce(x, var="y"):
+    def coerce(x):
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, (int, Scalar)) or type(x).__name__ == "Fraction":
-            return RatFunc([Scalar.coerce(x)], var=var)
+            return RatFunc([Scalar.coerce(x)])
         raise TypeError(f"cannot coerce {x!r} to RatFunc")
-
-    @staticmethod
-    def variable(var="y"):
-        return RatFunc([SZERO, SONE], var=var)
-
-    def _check(self, other):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch {self.var!r} vs {other.var!r}")
 
     def is_zero(self):
         return not self.num
@@ -216,7 +207,7 @@ class RatFunc:
 
     def __eq__(self, other):
         try:
-            other = RatFunc.coerce(other, self.var)
+            other = RatFunc.coerce(other)
         except TypeError:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -225,44 +216,39 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        other = RatFunc.coerce(other, self.var)
-        self._check(other)
+        other = RatFunc.coerce(other)
         n = padd(pmul(list(self.num), list(other.den)), pmul(list(other.num), list(self.den)))
         d = pmul(list(self.den), list(other.den))
-        return RatFunc(n, d, self.var)
+        return RatFunc(n, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(pneg(list(self.num)), list(self.den), self.var)
+        return RatFunc(pneg(list(self.num)), list(self.den))
 
     def __sub__(self, other):
-        return self + (-RatFunc.coerce(other, self.var))
+        return self + (-RatFunc.coerce(other))
 
     def __rsub__(self, other):
-        return RatFunc.coerce(other, self.var) + (-self)
+        return RatFunc.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = RatFunc.coerce(other, self.var)
-        self._check(other)
-        return RatFunc(
-            pmul(list(self.num), list(other.num)),
-            pmul(list(self.den), list(other.den)),
-            self.var,
-        )
+        other = RatFunc.coerce(other)
+        return RatFunc(pmul(list(self.num), list(other.num)),
+                       pmul(list(self.den), list(other.den)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(list(self.den), list(self.num), self.var)
+        return RatFunc(list(self.den), list(self.num))
 
     def __truediv__(self, other):
-        return self * RatFunc.coerce(other, self.var).inverse()
+        return self * RatFunc.coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return RatFunc.coerce(other, self.var) * self.inverse()
+        return RatFunc.coerce(other) * self.inverse()
 
     def subst_mobius(self, num, den):
         """self(v -> num(v)/den(v)) with polynomial num, den over Scalar."""
@@ -275,29 +261,25 @@ class RatFunc:
             d = pmul(d, ppow(den, dn - dd))
         elif dd > dn:
             n = pmul(n, ppow(den, dd - dn))
-        return RatFunc(n, d, self.var)
+        return RatFunc(n, d)
 
     def __str__(self):
-        ns = _poly_str(self.num, self.var)
+        ns = _poly_str(self.num)
         if self.den == (SONE,):
             return ns
-        return f"({ns})/({_poly_str(self.den, self.var)})"
+        return f"({ns})/({_poly_str(self.den)})"
 
     __repr__ = __str__
 
 
-def _poly_str(coeffs, var):
+def _poly_str(coeffs):
     if not coeffs:
         return "0"
     parts = []
     for i, c in enumerate(coeffs):
         if not c:
             continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*{var}" if c != Scalar(1) else var)
-        else:
-            parts.append(f"{c}*{var}^{i}" if c != Scalar(1) else f"{var}^{i}")
+        mon = "" if i == 0 else "y" if i == 1 else f"y^{i}"
+        parts.append(str(c) if not mon else mon if c == SONE else f"{c}*{mon}")
     return " + ".join(parts) if parts else "0"
 

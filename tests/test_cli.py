@@ -121,6 +121,35 @@ def test_jung(capsys):
     assert code == 0 and data["is_henon"] and data["dyn_degree"] == 2
 
 
+@pytest.mark.parametrize("f, henon, dyn", [
+    # e o h o e^-1 for h = (y, y^2 - x) and e = (x + y^3, y): degrees 9, 18, 36
+    ("y + (y^3 + y^2 - x)^3, y^3 + y^2 - x", True, 2),
+    # a swap-conjugate of an elementary map: degrees 2, 2, 2
+    ("x, y + x^2", False, 1),
+])
+def test_jung_dynamical_degree_of_conjugates(capsys, f, henon, dyn):
+    code, data = run_json(capsys, "jung", "--f", f)
+    assert code == 0
+    assert data["is_henon"] is henon and data["dyn_degree"] == dyn
+
+
+def test_stability(capsys):
+    code, data = run_json(capsys, "stability", "--f", "y*z : x*z : x*y")
+    assert code == 0 and data["horizon"] == 12 and not data["no_obstruction"]
+    assert all(c["step"] == 0 for c in data["collisions"])
+    code, data = run_json(capsys, "stability", "--f", "y*z : y^2 - x*z : z^2", "--n", "6")
+    assert code == 0 and data["horizon"] == 6
+    assert data["no_obstruction"] and data["collisions"] == []
+
+
+def test_vn_solve(capsys):
+    code, data = run_json(capsys, "vn-solve", "--n", "7", "--guess", "-0.08+0.01j, 0.42-0.01j")
+    assert code == 0 and data["residual"] < 1e-10
+    assert abs(data["a"][0] + 0.0837358229) < 1e-6 and abs(data["b"][0] - 0.4157606867) < 1e-6
+    code, _out = run(capsys, "vn-solve", "--n", "7", "--guess", "1e6, 1e6")
+    assert code == 1
+
+
 def test_noether(capsys):
     code, data = run_json(capsys, "noether", "--nu", "2")
     assert code == 0 and data["profiles"] == [[1, 1, 1]]

@@ -11,7 +11,7 @@ from cremona.dynamics import (
     stability_probe,
 )
 from cremona.errors import DegreeMismatch
-from cremona.ratmap import parse_ratmap
+from cremona.ratmap import compose, parse_ratmap
 from cremona.scalars import Scalar
 
 SIGMA = parse_ratmap("y*z : x*z : x*y")
@@ -107,6 +107,22 @@ def test_non_integral_recurrence_is_undetermined():
     assert cls.lambda_estimate == lambda_estimate(degs)
 
 
+def test_sqrt_m3_iterates_keep_small_coefficients(monkeypatch):
+    # the canonical representative bounds the content over Q(sqrt -3) as
+    # over Q: the step-11 iterate has 86 018 digits (1 292 537 without it)
+    digits = []
+
+    def recording(f, g):
+        h = compose(f, g)
+        digits.append(h.coefficient_digits())
+        return h
+
+    monkeypatch.setattr(dynamics, "compose", recording)
+    seq = degree_sequence(f_ab(Scalar(0, 1, -3), 2), 13)
+    assert seq.degrees == [2, 2, 3, 4, 5, 7, 9, 12, 16, 21, 28, 37, 49]
+    assert digits[11 - 2] <= 100_000
+
+
 def test_submultiplicative_assertion_holds():
     for f in (SIGMA, f_ab(1, 2)):
         seq = degree_sequence(f, 8)
@@ -124,6 +140,20 @@ def test_submultiplicativity_failure_is_a_typed_error(monkeypatch):
 def test_lambda_estimate_requires_two_terms():
     with pytest.raises(ValueError):
         lambda_estimate([2])
+
+
+@pytest.mark.parametrize("degs", [[3, 0, 0, 0, 0], [2, 2, -1], [0]])
+def test_degrees_below_one_are_a_value_error(degs):
+    with pytest.raises(ValueError, match="at least 1"):
+        growth_classify(degs)
+    with pytest.raises(ValueError, match="at least 1"):
+        lambda_estimate(degs)
+
+
+def test_default_horizon_follows_the_degree():
+    # 12 iterates for a quadratic map, 8 for a cubic one
+    assert degree_sequence(SIGMA).degrees == [2, 1] * 6
+    assert degree_sequence(phi_map(3)).degrees == [3] * 8
 
 
 def test_stability_probe_sigma_immediate_collision():

@@ -93,11 +93,12 @@ def test_compose_removes_joint_content_and_z_power():
     assert compose(f, f_ab(1, 2)).components == compose(f_ab(1, 2), f_ab(1, 2)).components
 
 
-def test_compose_divides_by_the_monic_gcd():
-    # The substituted triple, made primitive over ZZ, is divided by its gcd
-    # made monic in sympy's lex order (here 2x^2 + xy -> x^2 + xy/2), so the
-    # components keep a factor 2 rather than coming out primitive.
+def test_compose_gives_primitive_components_and_the_monic_gcd():
+    # The substituted triple is divided by its gcd made monic in sympy's lex
+    # order (here 2x^2 + xy -> x^2 + xy/2), and the map keeps the primitive
+    # integer components with a positive leading coefficient, not the
+    # factor 2 that dividing by the monic gcd leaves in them.
     h = compose(f_ab(1, 2), f_ab(1, 2))
-    assert str(h) == ("8*x^2 + 4*x*y + 4*x*z + 2*y*z : 4*x^2 + 6*x*z + 2*z^2"
-                      " : 6*x^2 + 2*x*y + 2*x*z")
+    assert str(h) == ("4*x^2 + 2*x*y + 2*x*z + y*z : 2*x^2 + 3*x*z + z^2"
+                      " : 3*x^2 + x*y + x*z")
     assert str(h.removed_factor) == "x^2 + (1/2)*x*y"

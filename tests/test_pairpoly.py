@@ -22,6 +22,7 @@ from cremona.linalg import det
 from cremona.pairpoly import PairPoly, gcd_cofactors
 from cremona.poly import (
     HomPoly,
+    _canonical,
     compose_reduce,
     divide_exact,
     poly_gcd,
@@ -68,6 +69,18 @@ def _hom_expr(p):
 
 def _hom_poly(p, d):
     return sympy.Poly(_hom_expr(p), X, Y, Z, domain=_domain(d))
+
+
+def _from_sympy(pol, d):
+    """The HomPoly of a Poly in x, y, z over QQ or QQ(sqrt(d))."""
+    s = _sqrt(d)
+    terms = {}
+    for exps, c in pol.terms():
+        c = sympy.expand(c)
+        b = c.coeff(s) if d else sympy.Integer(0)
+        a = sympy.expand(c - b * s)
+        terms[exps] = Scalar(Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)), d)
+    return HomPoly(terms)
 
 
 def _pair_poly(terms, den, e):
@@ -322,23 +335,23 @@ def test_compose_over_sqrt_m3_matches_sympy_reduction(f, g, swap):
     ref = _sympy_reduce(raw, d)
     if ref is None:
         assert h.removed_factor is None
-        assert [_hom_poly(c, d) for c in h.components] == [_hom_poly(c, d) for c in raw]
+        assert list(h.components) == _canonical(raw)
         return
     ref_comps, ref_g = ref
     assert _hom_poly(h.removed_factor, d) == ref_g
-    assert [_hom_poly(c, d) for c in h.components if not c.is_zero()] == ref_comps
+    assert [c for c in h.components if c] == _canonical([_from_sympy(c, d) for c in ref_comps])
 
 
 def test_lone_component_composes_to_one_times_its_monic_form():
-    # compose keeps this representative of (h : 0 : 0): the component 1
-    # and the removed factor monic(h o g)
+    # (h : 0 : 0) composes to a constant component, whose canonical
+    # representative is 1, and the removed factor monic(h o g)
     x, y, z = (HomPoly.var(v) for v in "xyz")
     zero = HomPoly.zero(2)
     for r in (Scalar(1), SQRT_M3):
         h = HomPoly({(2, 0, 0): r, (1, 1, 0): Fraction(3, 2), (0, 1, 1): Fraction(-5, 7)})
         for g in ((x, y, z), (x * 3 + y * r, y, z * 2)):
             comps, factor = compose_reduce((h, zero, zero), g)
-            assert comps == [HomPoly.constant(1), HomPoly.zero(0), HomPoly.zero(0)]
+            assert _canonical(comps) == [HomPoly.constant(1), HomPoly.zero(0), HomPoly.zero(0)]
             assert [c.degree for c in comps] == [0, 0, 0]
             assert factor == substitute(h, g).monic()
         assert compose_reduce((h, zero, zero), (x, y, z))[1] == h.monic()

@@ -102,3 +102,51 @@ def test_projectivization_degree():
     h = parse_polyaut("y, y^2 - x")
     F = h.to_ratmap()
     assert F.degree == 2
+
+
+def test_conjugate_of_a_henon_map_keeps_its_dynamical_degree():
+    # g = e o h o e^-1 has degree 9, and its iterates have degrees 9, 18, 36
+    h = parse_polyaut("y, y^2 - x")
+    e = parse_polyaut("x + y^3, y")
+    g = aut_compose(e, aut_compose(h, aut_inverse(e)))
+    assert g.degree == 9
+    rep = henon_classify(g)
+    assert rep.is_henon and rep.dyn_degree == 2
+
+
+def test_swap_conjugate_of_an_elementary_map_is_not_henon():
+    # (x, y + x^2) = s o (x + y^2, y) o s for the swap s: iterates of degree 2
+    f = parse_polyaut("x, y + x^2")
+    assert aut_compose(f, f).degree == 2
+    rep = henon_classify(f)
+    assert not rep.is_henon and rep.dyn_degree == 1
+
+
+def _random_aut(rng):
+    """An alternating word of affine and elementary factors of degree 2-3,
+    conjugated by an elementary map half of the time."""
+    out = _random_word(rng, rng.randint(2, 5))
+    if rng.random() < 0.5:
+        e = _random_word(rng, 1)
+        out = aut_compose(e, aut_compose(out, aut_inverse(e)))
+    return out
+
+
+def test_dynamical_degree_is_the_ratio_of_iterate_degrees():
+    rng = random.Random(3)
+    henon = 0
+    for _ in range(30):
+        f = _random_aut(rng)
+        while f.degree > 4:
+            f = _random_aut(rng)
+        rep = henon_classify(f)
+        f2 = aut_compose(f, f)
+        f3 = aut_compose(f, f2)
+        if rep.is_henon:
+            henon += 1
+            assert f2.degree == rep.dyn_degree * f.degree
+            assert f3.degree == rep.dyn_degree * f2.degree
+        else:
+            assert rep.dyn_degree == 1
+            assert f3.degree <= f.degree and f2.degree <= f.degree
+    assert 0 < henon < 30

@@ -1,14 +1,16 @@
 """Rational maps of the plane: composition, inversion, classification."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cremona.catalog import CUBIC_TABLE, PSI, PSI_INVERSE, f_ab
 from cremona.errors import NOT_CONTRACTED, NOT_FOUND, ResourceLimit
 from cremona.linalg import mat_inverse
-from cremona.poly import HomPoly, LinearForm, parse_poly
+from cremona.poly import HomPoly, LinearForm, parse_poly, proportionality
 from cremona.ratmap import (
     JonqElement,
     ProjPoint,
@@ -40,6 +42,49 @@ def test_normalize_strips_common_factor():
     g = normalize(tuple(c * x for c in f.components))
     assert g.degree == 1 and g.is_identity()
     assert g.removed_factor is not None
+
+
+QUADRATIC_MONOMIALS = [(i, j, 2 - i - j) for i in range(3) for j in range(3 - i)]
+small_rational = st.fractions(-6, 6, max_denominator=4)
+
+
+@st.composite
+def maps_with_a_scalar(draw):
+    """Three quadratic forms, not all zero, over Q, Q(sqrt 2) or Q(sqrt -3),
+    and a nonzero scalar of that field."""
+    d = draw(st.sampled_from([0, 2, -3]))
+    coef = st.builds(lambda a, b: Scalar(a, b if d else 0, d), small_rational, small_rational)
+    comps = [HomPoly(draw(st.dictionaries(st.sampled_from(QUADRATIC_MONOMIALS), coef,
+                                          max_size=4)), 2) for _ in range(3)]
+    if not any(comps):
+        comps[draw(st.integers(0, 2))] = HomPoly({(1, 1, 0): Scalar(1, 1 if d else 0, d)})
+    return comps, draw(coef.filter(bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_with_a_scalar())
+def test_every_map_is_its_one_canonical_representative(comps_c):
+    comps, c = comps_c
+    f = RatMap(comps)
+    g = RatMap([p * c for p in comps])
+    assert f.components == g.components
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
+    assert proportionality(f.components, comps) is not None
+    # Z[sqrt d] coefficients of content 1, lex-leading one rational and positive
+    lead = next(p for p in f.components if p)
+    assert lead.leading()[1].is_rational() and lead.leading()[1].a > 0
+    parts = [v for p in f.components for s in p.terms.values() for v in (s.a, s.b)]
+    assert all(v.denominator == 1 for v in parts)
+    assert math.gcd(*(int(v) for v in parts)) == 1
+
+
+def test_canonical_components_print_with_integer_coefficients():
+    assert str(parse_ratmap("x/2 : y : z")) == "x : 2*y : 2*z"
+    assert str(parse_ratmap("-x : y : z")) == "x : -y : -z"
+    f = parse_ratmap("sqrt(-3)*x : y : z")
+    assert str(f) == "3*x : (-sqrt(-3))*y : (-sqrt(-3))*z"
+    assert f == parse_ratmap("x : (-1/3*sqrt(-3))*y : (-1/3*sqrt(-3))*z")
 
 
 def test_projective_point_canonical():
@@ -111,9 +156,11 @@ def test_inverse_not_found_over_q_sqrt_minus_3():
 
 
 # str(inverse(f, d)) as recorded when the ansatz was solved by rref on
-# Fractions and Scalars: the integer solve must give the same maps term for
-# term, over Q and over Q(sqrt -3), also where the nullspace has dimension
-# two or more (sigma at degree 3, f_ab at degree 3).
+# Fractions and Scalars: the integer solve must give the same maps, over Q
+# and over Q(sqrt -3), also where the nullspace has dimension two or more
+# (sigma at degree 3, f_ab at degree 3).  Since maps keep one canonical
+# representative, two of them now print scaled; CANONICAL_INVERSES maps
+# each of those old strings to the new one.
 PINNED_INVERSES = [
     (PSI, 3, "-x*y^2 + y*z^2 : -x*y*z + z^3 : x*z^2"),
     (CUBIC_TABLE[0], 3, "x*z^2 - y^3 : y*z^2 : z^3"),
@@ -137,9 +184,23 @@ PINNED_INVERSES = [
 ]
 
 
-@pytest.mark.parametrize("f, d, want", PINNED_INVERSES)
-def test_inverse_outputs_are_pinned(f, d, want):
+CANONICAL_INVERSES = {
+    PINNED_INVERSES[0][2]: "x*y^2 - y*z^2 : x*y*z - z^3 : -x*z^2",
+    PINNED_INVERSES[-1][2]:
+    "2*x*y^2 + (sqrt(-3))*x*y*z + (6 + 2*sqrt(-3))*y^3 + (-3 + 7*sqrt(-3))*y^2*z"
+    " - 8*y*z^2 + (-sqrt(-3))*z^3 : (sqrt(-3))*x*y^2 - x*y*z + (-3 + 3*sqrt(-3))*y^3"
+    " + (-9 - sqrt(-3))*y^2*z + (-3*sqrt(-3))*y*z^2 + z^3 : -6*x*y^2"
+    " + (-3*sqrt(-3))*x*y*z + x*z^2 + (-9 - 6*sqrt(-3))*y^3 + (9 - 9*sqrt(-3))*y^2*z"
+    " + (9 + sqrt(-3))*y*z^2 + (sqrt(-3))*z^3",
+}
+
+
+@pytest.mark.parametrize("f, d, old", PINNED_INVERSES)
+def test_inverse_outputs_are_pinned(f, d, old):
+    want = CANONICAL_INVERSES.get(old, old)
     assert str(inverse(f, d)) == want
+    split = [[parse_poly(p) for p in text.split(":")] for text in (old, want)]
+    assert proportionality(*split) is not None
 
 
 def test_strata():
@@ -212,6 +273,23 @@ def test_jonquieres_inverse():
         j = _random_jonq(rng)
         prod = jonq_compose(j, jonq_inverse(j))
         assert jonq_to_ratmap(prod).is_identity()
+
+
+def test_jonquieres_identity_and_equality_up_to_scalars():
+    ident = JonqElement.identity()
+    assert jonq_to_ratmap(ident).is_identity()
+    rng = random.Random(13)
+    for _ in range(3):
+        j = _random_jonq(rng)
+        assert jonq_compose(j, jonq_inverse(j)) == ident
+        assert jonq_compose(ident, j) == j
+        # each matrix is a map only up to its own scalar
+        scaled = JonqElement([[v * _rf(2) for v in row] for row in j.vertical],
+                             [[v * Scalar(Fraction(-1, 3)) for v in row] for row in j.base])
+        assert scaled == j
+    j = JonqElement(((_rf(0, 1), _rf(1)), (_rf(1), _rf(0))), ident.base)  # x -> y + 1/x
+    assert j != ident and ident != j
+    assert ident.__eq__(RatMap.identity()) is NotImplemented
 
 
 def test_compose_reduces_degree_drop():
