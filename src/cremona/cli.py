@@ -22,7 +22,7 @@ from .errors import NOT_AUTOMORPHISM, NOT_FOUND, CremonaError
 from .poly import _field_of
 from .polyaut import henon_classify, jung_decompose, parse_polyaut
 from .ratmap import compose, inverse, noether_solve, parse_ratmap, quadratic_classify
-from .weyl import _stripped_radius, char_poly, group_order_bfs, salem_classify, standard_element
+from .weyl import char_poly, group_order_bfs, salem_classify, spectral_radius, standard_element
 
 
 class DomainError(Exception):
@@ -145,7 +145,7 @@ def _cmd_weyl(args):
         rep = salem_classify(cp)
         payload["salem_class"] = rep.kind
         payload["dominant_root"] = rep.dominant_root
-        payload["spectral_radius"] = _stripped_radius(rep.residual, rep.removed_cyclotomic)
+        payload["spectral_radius"] = spectral_radius(M)
     if args.order:
         payload["group_order"] = group_order_bfs(args.n)
     _emit("weyl", payload)

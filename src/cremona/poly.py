@@ -488,16 +488,18 @@ def _total_degree(terms):
 
 @functools.cache
 def _zz():
-    """sympy's Poly, ZZ and the symbols x, y, imported on first use."""
+    """sympy's Poly, DMP, ZZ and the symbols x, y, imported on first use."""
     import sympy
+    from sympy.polys.polyclasses import DMP
 
-    return sympy.Poly, sympy.ZZ, sympy.symbols("x y")
+    return sympy.Poly, DMP, sympy.ZZ, sympy.symbols("x y")
 
 
 def _poly2(terms):
-    """The Poly over ZZ in (x, y) of a chart over Q."""
-    Poly, ZZ, gens = _zz()
-    return Poly.from_dict({k: a for k, (a, _b) in terms.items()}, *gens, domain=ZZ)
+    """The Poly over ZZ in (x, y) of a chart over Q, built from its DMP
+    without the option processing of `Poly.from_dict`."""
+    Poly, DMP, ZZ, gens = _zz()
+    return Poly.new(DMP.from_dict({k: a for k, (a, _b) in terms.items()}, 1, ZZ), *gens)
 
 
 def _pairs(pol, lead=1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import BUDGET_EXCEEDED, BadDimension, DimensionMismatch, InexactDivision, NotARoot
 from .linalg import charpoly_int, mat_mul
@@ -126,8 +127,24 @@ def preserves_form(M):
 
 
 def char_poly(M):
-    """Exact characteristic polynomial det(tI - M), constant term first."""
-    return charpoly_int(M)
+    """Exact characteristic polynomial det(tI - M), constant term first.
+
+    The last matrix's polynomial is kept, so char_poly, salem_classify and
+    spectral_radius of one matrix run `charpoly_int` once."""
+    return list(_char_poly(_matrix_key(M)))
+
+
+def _matrix_key(M):
+    """The contents of M as a tuple of row tuples, made from a list: CPython
+    makes a tuple from an iterator at a guessed length and resizes it, and
+    freed resized tuples pile up on its free list (up to 2000 per length)."""
+    return tuple([tuple(row) for row in M])
+
+
+@functools.lru_cache(maxsize=1)
+def _char_poly(M):
+    """charpoly_int of the matrix contents M, a tuple of row tuples."""
+    return tuple(charpoly_int(M))
 
 
 # -- cyclotomic machinery --------------------------------------------------
@@ -253,19 +270,50 @@ class SalemReport:
     diagnostics: str = ""
 
 
+def _int_coeffs(p):
+    """p as a tuple of ints; InexactDivision for a non-integral coefficient."""
+    out = []
+    for c in p:
+        if type(c) is not int:
+            q = Fraction(c)
+            if q.denominator != 1:
+                raise InexactDivision(f"coefficient {c!r} is not an integer")
+            c = q.numerator
+        out.append(c)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _spectrum(p):
+    """(residual, removed, roots) of the int tuple p: strip_cyclotomic's
+    residual and removed indices, and the residual's numeric roots (none
+    when the residual is a constant), all as tuples. The last polynomial's
+    spectrum is kept, so salem_classify and spectral_radius of one
+    polynomial strip it and find its roots once."""
+    residual, removed = strip_cyclotomic(p)
+    roots = poly_roots_numeric(residual) if len(residual) > 1 else ()
+    return tuple(residual), tuple(removed), tuple(roots)
+
+
 def salem_classify(p):
-    """Classify an integer polynomial after stripping cyclotomic factors."""
-    p = [int(c) for c in p]
+    """Classify an integer polynomial after stripping cyclotomic factors.
+
+    The coefficients must be integers (ints, or integral Fractions or
+    floats); any other raises InexactDivision."""
+    p = _int_coeffs(p)
     if len(p) < 2 or p[-1] == 0:
         raise ValueError("need a nonzero polynomial of degree >= 1")
-    residual, removed = strip_cyclotomic(p)
+    residual, removed, roots = _spectrum(p)
+    residual, removed = list(residual), list(removed)
     if len(residual) <= 1:
         return SalemReport("Cyclotomic", 1.0, residual, removed)
-    roots = poly_roots_numeric(residual)
     moduli = sorted(abs(r) for r in roots)
     dominant = max(moduli)
     real_dominant = max((r.real for r in roots if abs(r.imag) < MODULUS_TOL and r.real > 0),
                         default=dominant)
+    if dominant < 1.0 - MODULUS_TOL:
+        return SalemReport("Other", dominant, residual, removed,
+                           f"spectral radius {dominant!r} below 1")
     if dominant <= 1.0 + MODULUS_TOL:
         # residual nontrivial but all roots on/in the circle and not cyclotomic
         return SalemReport("Other", dominant, residual, removed,
@@ -285,14 +333,10 @@ def salem_classify(p):
 
 def spectral_radius(M):
     """Largest eigenvalue modulus; exact 1.0 when only cyclotomic factors remain."""
-    return _stripped_radius(*strip_cyclotomic(char_poly(M)))
-
-
-def _stripped_radius(residual, removed):
-    """spectral_radius from strip_cyclotomic's (residual, removed)."""
+    residual, removed, roots = _spectrum(_char_poly(_matrix_key(M)))
     if len(residual) <= 1:
         return 1.0
-    r = max(abs(r) for r in poly_roots_numeric(residual))
+    r = max(abs(z) for z in roots)
     return max(r, 1.0) if removed else r
 
 

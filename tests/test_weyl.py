@@ -1,11 +1,13 @@
 """Lattice reflections, standard elements, Salem/Pisot classification."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremona.errors import BUDGET_EXCEEDED
+from cremona import weyl
+from cremona.errors import BUDGET_EXCEEDED, InexactDivision
 from cremona.linalg import charpoly_int, mat_mul
 from cremona.unipoly import _intpoly_divmod, pmul
 from cremona.weyl import (
@@ -80,6 +82,27 @@ def test_pisot_classification():
 def test_cyclotomic_classification():
     rep = salem_classify(cyclotomic(12))
     assert rep.kind == "Cyclotomic"
+
+
+@pytest.mark.parametrize("p", [[Fraction(1, 2), 0, 1], [1.5, -3, 1], [1, Fraction(7, 3), 0, 1]])
+def test_non_integral_coefficients_are_an_error(p):
+    """No coefficient is truncated: x^2 / 2 + ... is not classified as x^2."""
+    with pytest.raises(InexactDivision):
+        salem_classify(p)
+
+
+def test_integral_coefficients_of_any_type_are_accepted():
+    rep = salem_classify([Fraction(-1), -1.0, 0, True])  # t^3 - t - 1
+    assert rep.kind == "Pisot" and rep.residual == [-1, -1, 0, 1]
+    assert all(type(c) is int for c in rep.residual)
+
+
+def test_radius_below_one_is_not_reported_as_one():
+    rep = salem_classify([0, 0, 1])  # t^2
+    assert rep.kind == "Other" and rep.dominant_root == 0.0
+    assert "below 1" in rep.diagnostics and "radius 1" not in rep.diagnostics
+    rep = salem_classify([2, 1, 2])  # roots on the unit circle, not cyclotomic
+    assert rep.kind == "Other" and rep.diagnostics == "non-cyclotomic with spectral radius 1"
 
 
 def test_spectral_radius_threshold():
@@ -267,3 +290,114 @@ def test_strip_cyclotomic_divides_where_the_filter_passes(d):
     residual, removed = strip_cyclotomic(p)
     assert (residual, removed) == _strip_every_d(p)
     assert removed.count(d) == 1
+
+
+def _weyl_conjugates(seed):
+    """w S_n w^-1 for n = 10..16, w a word of 8 simple reflections."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(10, 17):
+        refl = [reflection_matrix(a) for a in simple_roots(n)]
+        M = standard_element(n)
+        for _ in range(8):
+            R = refl[rng.randrange(n)]
+            M = mat_mul(mat_mul(R, M), R)
+        out.append(M)
+    return out
+
+
+def _small_matrices(seed, count=40):
+    """`count` distinct integer matrices of sizes 1..6, entries in [-3, 3]."""
+    rng = random.Random(seed)
+    seen = {}
+    while len(seen) < count:
+        k = rng.randint(1, 6)
+        M = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        seen.setdefault(tuple(map(tuple, M)), M)
+    return list(seen.values())
+
+
+def _reference(M):
+    """(charpoly, residual, removed, largest root modulus, spectral radius)
+    from the primitives, with nothing kept between calls."""
+    cp = charpoly_int(M)
+    residual, removed = strip_cyclotomic(cp)
+    if len(residual) <= 1:
+        return cp, residual, removed, 1.0, 1.0
+    r = max(abs(z) for z in poly_roots_numeric(residual))
+    return cp, residual, removed, r, (max(r, 1.0) if removed else r)
+
+
+# radius 0 with and without a cyclotomic factor, 1 from a cyclotomic factor
+# alone, and 2 beside one
+FIXED_MATRICES = [[[0]], [[0, 1], [0, 0]], [[1, 0], [0, 0]], [[2, 0], [0, -1]], [[0, -1], [1, 0]]]
+
+
+@pytest.mark.parametrize("source", ["weyl-3", "weyl-11", "small-5", "fixed-0"])
+def test_shared_spectrum_matches_the_primitives(source):
+    kind, seed = source.rsplit("-", 1)
+    mats = {"weyl": _weyl_conjugates, "small": _small_matrices,
+            "fixed": lambda _seed: FIXED_MATRICES}[kind](int(seed))
+    for M in mats:
+        cp, residual, removed, r, radius = _reference(M)
+        for radius_first in (False, True):
+            if radius_first:
+                assert spectral_radius(M) == radius
+            assert char_poly(M) == cp
+            rep = salem_classify(char_poly(M))
+            assert (rep.residual, rep.removed_cyclotomic) == (residual, removed)
+            if rep.kind in ("Salem", "Pisot"):
+                assert abs(rep.dominant_root - r) <= 1e-12 * r
+            else:
+                assert rep.dominant_root == r
+            assert spectral_radius(M) == radius
+        if kind == "weyl":
+            assert rep.kind == "Salem" and radius > 1.0
+
+
+def test_one_matrix_runs_each_primitive_once(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(weyl, name, wrapper)
+
+    for name in ("charpoly_int", "strip_cyclotomic", "poly_roots_numeric"):
+        counting(name, getattr(weyl, name))
+    weyl._char_poly.cache_clear()
+    weyl._spectrum.cache_clear()
+    M = _weyl_conjugates(7)[2]
+    for _ in range(2):
+        salem_classify(char_poly(M))
+        spectral_radius(M)
+    assert calls == ["charpoly_int", "strip_cyclotomic", "poly_roots_numeric"]
+
+
+def test_mutating_results_leaves_the_next_answer_unchanged():
+    M = standard_element(12)
+    cp = char_poly(M)
+    want_cp = list(cp)
+    rep = salem_classify(cp)
+    want = (rep.kind, rep.dominant_root, list(rep.residual), list(rep.removed_cyclotomic))
+    cp[0] += 5
+    cp.append(1)
+    rep.residual[0] += 7
+    rep.residual.append(2)
+    rep.removed_cyclotomic.append(3)
+    rep.removed_cyclotomic[0] = 99
+    assert char_poly(M) == want_cp
+    again = salem_classify(want_cp)
+    assert (again.kind, again.dominant_root, again.residual, again.removed_cyclotomic) == want
+    assert again.residual is not rep.residual
+    assert spectral_radius(M) == want[1]
+
+
+def test_memos_hold_at_most_one_entry():
+    for M in _small_matrices(9, count=50):
+        salem_classify(char_poly(M))
+        spectral_radius(M)
+    for memo in (weyl._char_poly, weyl._spectrum):
+        info = memo.cache_info()
+        assert info.maxsize == 1 and info.currsize <= 1
