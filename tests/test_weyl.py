@@ -331,16 +331,21 @@ def _reference(M):
 # radius 0 with and without a cyclotomic factor, 1 from a cyclotomic factor
 # alone, and 2 beside one
 FIXED_MATRICES = [[[0]], [[0, 1], [0, 0]], [[1, 0], [0, 0]], [[2, 0], [0, -1]], [[0, -1], [1, 0]]]
+MATRIX_SOURCES = {
+    "weyl-3": lambda: _weyl_conjugates(3),
+    "weyl-11": lambda: _weyl_conjugates(11),
+    "small-5": lambda: _small_matrices(5),
+    "fixed": lambda: FIXED_MATRICES,
+}
 
 
-@pytest.mark.parametrize("source", ["weyl-3", "weyl-11", "small-5", "fixed-0"])
+@pytest.mark.parametrize("source", sorted(MATRIX_SOURCES))
 def test_shared_spectrum_matches_the_primitives(source):
-    kind, seed = source.rsplit("-", 1)
-    mats = {"weyl": _weyl_conjugates, "small": _small_matrices,
-            "fixed": lambda _seed: FIXED_MATRICES}[kind](int(seed))
-    for M in mats:
+    for M in MATRIX_SOURCES[source]():
         cp, residual, removed, r, radius = _reference(M)
         for radius_first in (False, True):
+            weyl._char_poly.cache_clear()
+            weyl._spectrum.cache_clear()
             if radius_first:
                 assert spectral_radius(M) == radius
             assert char_poly(M) == cp
@@ -351,7 +356,7 @@ def test_shared_spectrum_matches_the_primitives(source):
             else:
                 assert rep.dominant_root == r
             assert spectral_radius(M) == radius
-        if kind == "weyl":
+        if source.startswith("weyl"):
             assert rep.kind == "Salem" and radius > 1.0
 
 
