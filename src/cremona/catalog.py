@@ -21,7 +21,7 @@ from .errors import (
     OrbitHitsIndeterminacy,
     PoleAtParameter,
 )
-from .linalg import charpoly_int, det, mat_mul
+from .linalg import charpoly_int, mat_inverse, mat_mul
 from .poly import HomPoly, LinearForm, divide_exact, parse_poly, substitute
 from .ratmap import (
     ProjPoint,
@@ -192,7 +192,7 @@ def phi_alpha_phi3(alpha):
         [-one, Scalar(0), a + one],
         [one, -two, one - a],
     ]
-    if not det(M):
+    if mat_inverse(M) is None:
         raise PoleAtParameter(f"matrix degenerates at alpha = {a}")
     return M
 
@@ -425,14 +425,6 @@ class VerifyReport:
         self.items.append(VerifyItem(label, bool(passed), detail))
 
 
-def _scalar_matrix(M):
-    return [[Scalar.coerce(v) for v in row] for row in M]
-
-
-def _int_det(M):
-    return det([[Fraction(v) for v in row] for row in M])
-
-
 def _poly_equiv(p, q):
     """Agreement up to overall sign and the substitution t -> -t."""
     if len(p) != len(q):
@@ -458,10 +450,9 @@ def _check_quadratic(rep, f, stratum):
 
 def _verify_sigma(rep):
     _check_quadratic(rep, SIGMA, "Sigma3")
-    M = _scalar_matrix(M_SIGMA)
-    ident = [[Scalar(1 if i == j else 0) for j in range(4)] for i in range(4)]
-    rep.add("M_sigma squares to identity", mat_mul(M, M) == ident)
-    rep.add("det M_sigma = +-1", abs(_int_det(M_SIGMA)) == 1)
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    rep.add("M_sigma squares to identity", mat_mul(M_SIGMA, M_SIGMA) == ident)
+    rep.add("det M_sigma = +-1", abs(charpoly_int(M_SIGMA)[0]) == 1)
 
 
 def _verify_rho(rep):
@@ -487,7 +478,7 @@ def _verify_action16(rep, M):
     expected = functools.reduce(lambda p, q: pmul(p, q, zero=0), ACTION_16_CHARPOLY_FACTORS)
     rep.add("characteristic polynomial matches stored factorization",
             _poly_equiv(cp, expected))
-    rep.add("det = +-1", abs(_int_det(M)) == 1)
+    rep.add("det = +-1", abs(cp[0]) == 1)
     residual = _intpoly_divmod(cp, [1, -3, 1]) or _intpoly_divmod(cp, [1, 3, 1])
     rep.add("X^2 - 3X + 1 divides", residual is not None)
     dom = _dominant_real_root(cp)
@@ -548,10 +539,10 @@ def _verify_mcmullen(rep):
 
 
 def _verify_bk_matrix(rep):
-    for n in (1, 4, 7):
-        rep.add(f"det bk_matrix({n}) = +-1",
-                abs(_int_det(bk_matrix(n))) == 1)
-    dom_m = _dominant_real_root(charpoly_int(bk_matrix(7)))
+    cps = {n: charpoly_int(bk_matrix(n)) for n in (1, 4, 7)}
+    for n, cp in cps.items():
+        rep.add(f"det bk_matrix({n}) = +-1", abs(cp[0]) == 1)
+    dom_m = _dominant_real_root(cps[7])
     dom_p = _dominant_real_root(chi_n(7))
     rep.add("bk_matrix(7) dominant root matches chi_n(7)",
             abs(dom_m - dom_p) < 1e-9, f"{dom_m!r} vs {dom_p!r}")

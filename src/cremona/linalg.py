@@ -1,4 +1,6 @@
-"""Exact dense linear algebra over Scalar and over the integers."""
+"""Exact dense linear algebra over Q and Q(sqrt(d)): one fraction-free
+elimination, `_int_rref`, behind `nullspace` and through it `mat_inverse`;
+Berkowitz's `charpoly_int` on integer matrices; and `mat_mul`."""
 
 from __future__ import annotations
 
@@ -6,80 +8,22 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import DimensionMismatch, InexactDivision
+from .errors import DimensionMismatch, IncompatibleField, InexactDivision
 from .scalars import Scalar
 
-SZERO = Scalar(0)
-SONE = Scalar(1)
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
 def mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    if len(A[0]) != m:
-        raise DimensionMismatch(f"{n}x{len(A[0])} times {m}x{p}")
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(m)), start=_zero_like(A, B)) for j in range(p)]
-        for i in range(n)
-    ]
-
-
-def _zero_like(A, B):
-    probe = A[0][0]
-    if isinstance(probe, Scalar):
-        return SZERO
-    return probe - probe
-
-
-def rref(rows, ncols=None):
-    """Reduced row echelon form over a field; returns (rref_rows, pivots).
-
-    A matrix of rational Scalars (b = 0 throughout) is reduced on their
-    Fractions and mapped back to Scalars, which gives the same rows several
-    times faster; Q(sqrt d) matrices and plain numbers reduce as they are.
-    """
-    A = [list(r) for r in rows]
-    if A and all(isinstance(v, Scalar) and not v.b for row in A for v in row):
-        R, pivots = _rref([[v.a for v in row] for row in A], ncols)
-        return [[Scalar(v) for v in row] for row in R], pivots
-    return _rref(A, ncols)
-
-
-def _rref(A, ncols):
-    """rref on the row lists A, in place; returns (A, pivots)."""
-    if not A:
-        return A, []
-    if ncols is None:
-        ncols = len(A[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(A)):
-            if A[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        inv = _inv(A[r][c])
-        A[r] = [v * inv if v else v for v in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [a - f * b if b else a for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(A):
-            break
-    return A, pivots
-
-
-def _inv(x):
-    if isinstance(x, Scalar):
-        return x.inverse()
-    return 1 / x
+    """Product of two matrices given as row lists of ints, Fractions or
+    Scalars; each entry is the sum of the products of a row and a column."""
+    m = len(B)
+    p = len(B[0]) if B else 0
+    if not (A and p) or any(len(row) != m for row in A) or any(len(row) != p for row in B):
+        raise DimensionMismatch(f"{len(A)}x{len(A[0]) if A else 0} times {m}x{p}")
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def nullspace(rows, ncols, d=0):
@@ -99,6 +43,8 @@ def nullspace(rows, ncols, d=0):
     columns are 2c and 2c + 1 for each free column c of the matrix, and the
     basis vector of 2c is the rref basis vector of c.
     """
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatch(f"nullspace of a ragged matrix: a row's length is not {ncols}")
     if not d:
         R, pivots = _int_rref(rows, ncols)
         return _basis(R, pivots, ncols)
@@ -169,39 +115,32 @@ def _int_rref(rows, ncols):
 
 
 def mat_inverse(A):
-    """Exact inverse of a square Scalar matrix, or None if singular."""
+    """Exact inverse of a square matrix of ints, Fractions or Scalars over Q
+    or one Q(sqrt(d)), as Scalars; None when the matrix is singular.
+
+    The nullspace of [A | -I] holds the pairs (x, A x): A is invertible
+    exactly when its basis vector j ends in e_j, and then begins with column
+    j of the inverse. Each row is scaled to ints, or to int pairs over
+    Q(sqrt(d)), by the lcm of its denominators.
+    """
     n = len(A)
-    aug = [list(A[i]) + [SONE if i == j else SZERO for j in range(n)] for i in range(n)]
-    R, pivots = rref(aug, n)
-    if len(pivots) < n:
+    if any(len(row) != n for row in A):
+        raise DimensionMismatch(f"inverse of a non-square {n}-row matrix")
+    S = [[Scalar.coerce(v) for v in row] for row in A]
+    fields = {v.d for row in S for v in row} - {0}
+    if len(fields) > 1:
+        raise IncompatibleField(f"matrix entries over sqrt(d) for d in {sorted(fields)}")
+    d = max(fields, default=0)
+    rows = []
+    for i, row in enumerate(S):
+        D = math.lcm(*(u.denominator for v in row for u in (v.a, v.b)))
+        pairs = [(int(v.a * D), int(v.b * D)) for v in row]
+        pairs += [(-D * (i == j), 0) for j in range(n)]
+        rows.append(pairs if d else [a for a, _ in pairs])
+    basis = nullspace(rows, 2 * n, d)
+    if [v[n:] for v in basis] != [[int(i == j) for j in range(n)] for i in range(n)]:
         return None
-    return [row[n:] for row in R]
-
-
-def det(A):
-    """Exact determinant by fraction-free-ish elimination over the field."""
-    n = len(A)
-    M = [list(r) for r in A]
-    d = SONE if isinstance(M[0][0], Scalar) else 1
-    sign = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if M[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return SZERO if isinstance(d, Scalar) else 0
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            sign = -sign
-        d = d * M[c][c]
-        inv = _inv(M[c][c])
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return d * sign
+    return [[Scalar.coerce(v) for v in row] for row in list(zip(*basis))[:n]]
 
 
 def charpoly_int(M):

@@ -93,6 +93,8 @@ def iterate_family(family, params, seed, n):
     1e-12 of zero."""
     if family not in _FAMILIES:
         raise KeyError(f"unknown family {family!r}; have {sorted(_FAMILIES)}")
+    if n < 0:
+        raise ValueError(f"iteration count must be at least 0, got {n}")
     if n > ORBIT_CAP:
         raise ValueError(f"iteration count exceeds cap {ORBIT_CAP}")
     step, den = _FAMILIES[family](tuple(complex(p) for p in params))

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NOT_CONTRACTED, NOT_FOUND, NOT_FULLY_SPLIT, ZeroMap
-from .linalg import det as mat_det
-from .linalg import nullspace
+from .linalg import mat_inverse, nullspace
 from .poly import (
     HomPoly,
     LinearForm,
@@ -171,6 +170,11 @@ def compose(f, g):
 
 
 def iterate(f, k):
+    """The k-th iterate of f, k >= 0; the identity for k = 0."""
+    if k < 0:
+        raise ValueError(f"iterate count must be at least 0, got {k}")
+    if k == 0:
+        return RatMap.identity()
     out = f
     for _ in range(k - 1):
         out = compose(f, out)
@@ -307,7 +311,7 @@ def quadratic_classify(f):
     distinct = len(lines)
     if distinct == 3:
         M = [list(lf.coeffs) for lf in lines]
-        if not mat_det(M):
+        if mat_inverse(M) is None:
             return QuadClass("NotBirational", det_jac_lines=lines,
                              contraction_targets=targets)
         stratum = "Sigma3"

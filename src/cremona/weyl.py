@@ -169,17 +169,26 @@ def cyclotomic(d):
     return num
 
 
-def _totient(d):
-    """Euler's totient of d >= 1, the degree of Phi_d."""
-    out, m, q = d, d, 2
+@functools.cache
+def _prime_factors(d):
+    """The distinct prime factors of d >= 1, ascending, by trial division."""
+    primes, m, q = [], d, 2
     while q * q <= m:
         if m % q == 0:
-            out -= out // q
+            primes.append(q)
             while m % q == 0:
                 m //= q
         q += 1
     if m > 1:
-        out -= out // m
+        primes.append(m)
+    return tuple(primes)
+
+
+def _totient(d):
+    """Euler's totient d * prod(1 - 1/p) of d >= 1, the degree of Phi_d."""
+    out = d
+    for p in _prime_factors(d):
+        out = out // p * (p - 1)
     return out
 
 
@@ -198,13 +207,7 @@ def _root_of_unity_mod(d):
     q = (_FILTER_PRIME_TOP - 2) // d * d + 1
     while q % 2 == 0 or not _is_prime(q):
         q -= d
-    primes, m, r = [], d, 2  # the prime factors of d
-    while m > 1:
-        if m % r == 0:
-            primes.append(r)
-            while m % r == 0:
-                m //= r
-        r += 1
+    primes = _prime_factors(d)
     g = 2
     while True:
         w = pow(g, (q - 1) // d, q)

@@ -28,7 +28,6 @@ from cremona.catalog import (
     SIGMA,
     TAU,
     _conjugacy_holds,
-    _int_det,
     bk_matrix,
     chi_n,
     conjugation_matrix_phi3,

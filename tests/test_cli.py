@@ -198,6 +198,12 @@ def test_map_info_with_a_coefficient_beyond_str_limit(capsys):
     assert "ResourceLimit" in captured.err and "digits" in captured.err
 
 
+def test_orbit_rejects_a_negative_count(capsys):
+    code, out = run(capsys, "orbit", "--family", "mcmullen", "--params", "1,1",
+                    "--seed", "1,1", "--n", "-1")
+    assert code == 1 and out == ""
+
+
 def test_orbit_rejects_attribute_access(capsys):
     code, _ = run(capsys, "orbit", "--family", "fab", "--alpha", "().__class__",
                   "--beta", "1", "--seed", "0,0", "--n", "2")

@@ -1,7 +1,7 @@
-"""Exact linear algebra: checks that raise typed errors, and the integer and
-Fraction fast paths against independent references (sympy's charpoly, the
-rref carried out on Scalars, and the integer nullspace against the rref on
-Fractions or on Scalars of Q(sqrt d))."""
+"""Exact linear algebra: checks that raise typed errors, and the integer
+kernels against independent references: sympy's charpoly, and a reduced row
+echelon form carried out on field elements (Fractions, or Scalars of
+Q(sqrt d)) for the nullspace and the inverse."""
 
 from fractions import Fraction
 
@@ -9,14 +9,34 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from cremona.errors import DimensionMismatch, InexactDivision
-from cremona.linalg import _rref, charpoly_int, mat_inverse, mat_mul, nullspace, rref
+from cremona.errors import DimensionMismatch, IncompatibleField, InexactDivision
+from cremona.linalg import charpoly_int, mat_inverse, mat_mul, nullspace
 from cremona.scalars import Scalar
 
 
 def test_mat_mul_shape_mismatch_is_a_typed_error():
     with pytest.raises(DimensionMismatch):
         mat_mul([[1, 2]], [[1, 2]])
+
+
+@pytest.mark.parametrize("A, B", [
+    ([[1, 2], [3]], [[1], [2]]),    # ragged left operand
+    ([[1, 2]], [[1], [2, 3]]),      # ragged right operand
+    ([], [[1]]),
+    ([[1]], []),
+    ([[1]], [[]]),
+])
+def test_mat_mul_rejects_ragged_or_empty_operands(A, B):
+    with pytest.raises(DimensionMismatch):
+        mat_mul(A, B)
+
+
+def test_mat_mul_keeps_the_entry_type():
+    assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
+    assert type(mat_mul([[Fraction(1, 2)]], [[2]])[0][0]) is Fraction
+    w = Scalar(0, 1, -3)
+    [[v]] = mat_mul([[w, 1]], [[w], [Scalar(3)]])
+    assert v == 0 and type(v) is Scalar
 
 
 def test_charpoly_int_rejects_non_integral_polynomial():
@@ -105,30 +125,26 @@ def test_charpoly_int_rejects_a_non_square_or_ragged_matrix(M):
         charpoly_int(M)
 
 
-# -- rref: the Fraction fast path against the Scalar path -------------------
+# -- the reference: rref on field elements ----------------------------------
 
-@st.composite
-def scalar_matrices(draw):
-    m = draw(st.integers(min_value=1, max_value=6))
-    n = draw(st.integers(min_value=1, max_value=7))
-    entry = st.one_of(
-        st.just(Fraction(0)),
-        st.builds(Fraction, st.integers(min_value=-4, max_value=4),
-                  st.integers(min_value=1, max_value=3)),
-    )
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
-    return [[Scalar(v) for v in row] for row in rows], n
-
-
-@settings(max_examples=80, deadline=None)
-@given(scalar_matrices())
-def test_rational_rref_matches_the_scalar_path(case):
-    M, ncols = case
-    R, pivots = rref(M, ncols)
-    R_ref, pivots_ref = _rref([list(r) for r in M], ncols)
-    assert pivots == pivots_ref
-    assert R == R_ref
-    assert all(type(v) is Scalar for row in R for v in row)
+def _rref(A, ncols):
+    """Reduced row echelon form of the row lists A over the field of their
+    entries (Fractions or Scalars), in place; returns (A, pivots)."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [v * inv for v in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
 
 
 # -- nullspace: the integer Gauss-Jordan against rref on the field -----------
@@ -213,9 +229,98 @@ def test_quadratic_field_nullspace_matches_rref_on_scalars(d, data):
 def test_quadratic_field_matrix_reduces_on_scalars():
     w = Scalar(0, 1, -3)
     A = [[Scalar(1), w], [w, Scalar(2)]]
-    R, pivots = rref(A)
-    assert pivots == [0, 1]
-    assert R == [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(1)]]
     inv = mat_inverse(A)
     assert any(v.b for row in inv for v in row)
     assert mat_mul(inv, A) == [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(1)]]
+
+
+def test_nullspace_rejects_a_ragged_matrix():
+    with pytest.raises(DimensionMismatch):
+        nullspace([[1, 2], [3]], 2)
+    with pytest.raises(DimensionMismatch):
+        nullspace([[1, 2, 3]], 2)
+    with pytest.raises(DimensionMismatch):
+        nullspace([[(1, 0), (2, 1)], [(3, 0)]], 2, -3)
+
+
+# -- mat_inverse: the nullspace of [A | -I] against rref on the field -------
+
+def _rref_inverse(S):
+    """The inverse of the Scalar matrix S by rref of [S | I], or None."""
+    n = len(S)
+    aug = [list(row) + [Scalar(int(i == j)) for j in range(n)] for i, row in enumerate(S)]
+    R, pivots = _rref(aug, n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in R]
+
+
+_ENTRIES = {
+    "int": small_ints,
+    "Fraction": st.builds(Fraction, small_ints, st.integers(min_value=1, max_value=4)),
+    "Q(sqrt -3)": st.builds(lambda a, b: Scalar(a, b, -3), small_ints, small_ints),
+    "Q(sqrt 2)": st.builds(lambda a, b: Scalar(a, b, 2), small_ints, small_ints),
+}
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n product of an n x k and a k x n matrix over one of the
+    fields: singular (k < n) about as often as regular."""
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=n - 1) | st.just(n))
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+@example([[2, 1], [1, 1]])
+@example([[1, 2], [2, 4]])
+@example([[0]])
+def test_mat_inverse_matches_rref_on_the_field(A):
+    S = [[Scalar.coerce(v) for v in row] for row in A]
+    inv = mat_inverse(A)
+    assert inv == _rref_inverse(S)
+    assert mat_inverse(S) == inv
+    if inv is not None:
+        assert all(type(v) is Scalar for row in inv for v in row)
+        ident = [[int(i == j) for j in range(len(A))] for i in range(len(A))]
+        assert mat_mul(S, inv) == ident
+        assert mat_mul(inv, S) == ident
+
+
+def test_mat_inverse_of_an_int_matrix():
+    inv = mat_inverse([[2, 1], [1, 1]])
+    assert inv == [[1, -1], [-1, 2]]
+    assert all(type(v) is Scalar for row in inv for v in row)
+    assert mat_inverse([[1, 2], [2, 4]]) is None
+    assert mat_inverse([]) == []
+
+
+def test_mat_inverse_of_an_int_matrix_with_30_digit_entries():
+    b = 10 ** 30
+    A = [[b + 1, b, 0], [b, b - 1, 0], [7, 0, 1]]  # det -1
+    inv = mat_inverse(A)
+    assert inv == [[1 - b, b, 0], [b, -1 - b, 0], [7 * (b - 1), -7 * b, 1]]
+    assert mat_mul(A, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert mat_inverse([[b, b + 1], [b, b + 1]]) is None
+
+
+@pytest.mark.parametrize("A", [
+    [[1, 2, 3], [4, 5, 6]],
+    [[1, 2], [3, 4], [5, 6]],
+    [[1, 2], [3]],
+    [[]],
+])
+def test_mat_inverse_rejects_a_non_square_matrix(A):
+    with pytest.raises(DimensionMismatch):
+        mat_inverse(A)
+
+
+def test_mat_inverse_rejects_two_fields():
+    with pytest.raises(IncompatibleField):
+        mat_inverse([[Scalar(0, 1, 2), 1], [Scalar(0, 1, -3), 1]])

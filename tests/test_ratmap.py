@@ -96,6 +96,10 @@ def test_sigma_involution_and_iterate():
     assert compose(SIGMA, SIGMA).is_identity()
     assert iterate(SIGMA, 2).is_identity()
     assert iterate(SIGMA, 3) == SIGMA
+    assert iterate(TAU, 1) == TAU
+    assert iterate(TAU, 0) == RatMap.identity()
+    with pytest.raises(ValueError, match="at least 0"):
+        iterate(TAU, -1)
 
 
 def test_inverse_of_quadratics():
