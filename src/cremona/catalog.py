@@ -33,7 +33,7 @@ from .ratmap import (
 )
 from .scalars import Scalar
 from .unipoly import _intpoly_divmod, padd, pmul
-from .weyl import poly_roots_numeric
+from .weyl import salem_classify
 
 # -- named quadratic and cubic maps ---------------------------------------
 
@@ -433,11 +433,6 @@ def _poly_equiv(p, q):
     return p in (q, [-c for c in q], flip, [-c for c in flip])
 
 
-def _dominant_real_root(coeffs):
-    roots = poly_roots_numeric(coeffs)
-    return max(r.real for r in roots if abs(r.imag) < 1e-8)
-
-
 def _check_quadratic(rep, f, stratum):
     rep.add("degree 2", f.degree == 2)
     rep.add("involution", compose(f, f).is_identity())
@@ -481,7 +476,7 @@ def _verify_action16(rep, M):
     rep.add("det = +-1", abs(cp[0]) == 1)
     residual = _intpoly_divmod(cp, [1, -3, 1]) or _intpoly_divmod(cp, [1, 3, 1])
     rep.add("X^2 - 3X + 1 divides", residual is not None)
-    dom = _dominant_real_root(cp)
+    dom = salem_classify(cp).dominant_root
     golden = (3 + 5 ** 0.5) / 2
     rep.add("dominant root (3 + sqrt 5)/2", abs(dom - golden) < 1e-12,
             f"got {dom!r}")
@@ -542,8 +537,8 @@ def _verify_bk_matrix(rep):
     cps = {n: charpoly_int(bk_matrix(n)) for n in (1, 4, 7)}
     for n, cp in cps.items():
         rep.add(f"det bk_matrix({n}) = +-1", abs(cp[0]) == 1)
-    dom_m = _dominant_real_root(cps[7])
-    dom_p = _dominant_real_root(chi_n(7))
+    dom_m = salem_classify(cps[7]).dominant_root
+    dom_p = salem_classify(chi_n(7)).dominant_root
     rep.add("bk_matrix(7) dominant root matches chi_n(7)",
             abs(dom_m - dom_p) < 1e-9, f"{dom_m!r} vs {dom_p!r}")
 

@@ -174,7 +174,8 @@ def _vn_vector_residual(a, b, n):
 
 def newton_solve_vn(n, guess):
     """Damped Newton iteration on (a, b) for the degree-n realization
-    condition; Jacobian by central finite differences."""
+    condition; Jacobian by central finite differences, one residual at
+    each of the four points (a +- h, b) and (a, b +- h)."""
     a, b = complex(guess[0]), complex(guess[1])
     h = NEWTON_FD_STEP
     for _ in range(NEWTON_STEPS):
@@ -186,16 +187,14 @@ def newton_solve_vn(n, guess):
         if norm < NEWTON_TOL:
             return a, b, norm
         try:
-            j00 = (_vn_vector_residual(a + h, b, n)[0]
-                   - _vn_vector_residual(a - h, b, n)[0]) / (2 * h)
-            j10 = (_vn_vector_residual(a + h, b, n)[1]
-                   - _vn_vector_residual(a - h, b, n)[1]) / (2 * h)
-            j01 = (_vn_vector_residual(a, b + h, n)[0]
-                   - _vn_vector_residual(a, b - h, n)[0]) / (2 * h)
-            j11 = (_vn_vector_residual(a, b + h, n)[1]
-                   - _vn_vector_residual(a, b - h, n)[1]) / (2 * h)
+            pa, ma = _vn_vector_residual(a + h, b, n), _vn_vector_residual(a - h, b, n)
+            pb, mb = _vn_vector_residual(a, b + h, n), _vn_vector_residual(a, b - h, n)
         except Exception as exc:
             raise NonConvergence(f"jacobian undefined at ({a}, {b}): {exc}")
+        j00 = (pa[0] - ma[0]) / (2 * h)
+        j10 = (pa[1] - ma[1]) / (2 * h)
+        j01 = (pb[0] - mb[0]) / (2 * h)
+        j11 = (pb[1] - mb[1]) / (2 * h)
         det = j00 * j11 - j01 * j10
         if abs(det) < 1e-300:
             raise NonConvergence("singular jacobian")

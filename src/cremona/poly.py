@@ -7,9 +7,8 @@ from exponent tuples to nonzero Scalars with one copy of equality,
 hashing, + - * ** `mul_ground`, evaluation and printing.  Arithmetic builds
 its results with the trusted `_clean`, dropping cancelled terms as they
 arise; only outside callers go through the validating constructor.
-`proportionality(ps, qs)`, the scalar c with ps[i] == c * qs[i], is the one
-proportionality test, behind `jung_decompose`; maps need none, since
-`_canonical` gives every `RatMap` one representative of its class.
+Maps need no scalar-ratio test, since `_canonical` gives every `RatMap`
+one representative of its class.
 
 Sums and `mul_ground` stay in Scalar arithmetic.  Every product and
 substitution of HomPolys and BiPolys runs on ints, in
@@ -214,28 +213,6 @@ class _Sparse:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-def proportionality(ps, qs):
-    """The Scalar c with ps[i] == c * qs[i] for every i, or None (also when
-    every q is zero).  c is read off one term of the first nonzero q, and
-    each pair is then checked term by term."""
-    pairs = list(zip(ps, qs))
-    p, q = next(((p, q) for p, q in pairs if q), (None, None))
-    if q is None:
-        return None
-    e, b = next(iter(q.terms.items()))
-    if e not in p.terms:
-        return None
-    c = p.terms[e] / b
-    for p, q in pairs:
-        if len(p.terms) != len(q.terms):
-            return None
-        for e, b in q.terms.items():
-            a = p.terms.get(e)
-            if a is None or a != c * b:
-                return None
-    return c
 
 
 class HomPoly(_Sparse):

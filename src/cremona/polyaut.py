@@ -1,10 +1,11 @@
 """Polynomial automorphisms of the affine plane.
 
 Composition, inversion, the decomposition into alternating affine /
-elementary factors by leading-term cancellation (the automorphism check,
-and the one user of `poly.proportionality`), and the Henon test: f is of
-Henon type exactly when deg(f o f) > deg(f), and then its dynamical degree
-is deg(f o f) / deg(f).
+elementary factors by leading-term cancellation (the automorphism check:
+at every step the top form of one component is a scalar times the top form
+of a power of the other), and the Henon test: f is of Henon type exactly
+when deg(f o f) > deg(f), and then its dynamical degree is
+deg(f o f) / deg(f).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NOT_AUTOMORPHISM
-from .poly import BiPoly, HomPoly, parse_poly, proportionality
+from .poly import BiPoly, HomPoly, parse_poly
 from .scalars import Scalar
 
 SZERO = Scalar(0)
@@ -172,8 +173,11 @@ def jung_decompose(f):
             return NOT_AUTOMORPHISM
         k = d1 // d2
         qk = q ** k
-        c = proportionality([p.top_form()], [qk.top_form()])
-        if c is None:
+        # c from qk's lex-leading top monomial; the top forms must agree
+        tp, tq = p.top_form(), qk.top_form()
+        e = max(tq.terms)
+        c = tp.terms.get(e, SZERO) / tq.terms[e]
+        if tp != tq * c:
             return NOT_AUTOMORPHISM
         # cur' = (x - c*y^k, y) o cur; record the inverse (x + c*y^k, y)
         cur = PolyAut((p - qk * c, q))

@@ -6,11 +6,13 @@ as the one representative of its class up to scalars that
 hash.  Besides composition and ansatz-based inversion this module carries
 the quadratic birationality criterion (det-jac splits into contracted
 lines), the base points of a quadratic map read off its contracted lines,
-the base-point multiplicity solver, and de Jonquieres elements.
+the base-point multiplicity solver, and de Jonquieres elements, each kept
+as one reduced polynomial matrix over a base Mobius map.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import NOT_CONTRACTED, NOT_FOUND, NOT_FULLY_SPLIT, ZeroMap
@@ -31,7 +33,7 @@ from .poly import (
     restrict_to_line,
 )
 from .scalars import Scalar
-from .unipoly import RatFunc, pdegree, pgcd, pmul, pquo_exact, pstrip
+from .unipoly import padd, pdegree, peval_mobius, pgcd, pmul, pneg, ppow, pquo_exact, pstrip
 
 SZERO = Scalar(0)
 SONE = Scalar(1)
@@ -398,78 +400,69 @@ def noether_solve(nu, constraint=None):
 
 # -- de Jonquieres elements ------------------------------------------------
 
-def _rf(v):
-    return RatFunc.coerce(v)
+def _ypoly(v):
+    """An entry of a vertical matrix, an int, Fraction or Scalar or a list or
+    tuple of them (constant term first), as a list of Scalars."""
+    return pstrip([Scalar.coerce(c) for c in (v if isinstance(v, (list, tuple)) else [v])])
 
 
 class JonqElement:
-    """Fibration-preserving map: x Mobius over C(y), y Mobius over C."""
+    """The fibration-preserving map (x, y) -> ((a x + b)/(c x + d),
+    (al y + be)/(ga y + de)) with a, b, c, d polynomials in y: the vertical
+    matrix ((a, b), (c, d)) in PGL2(C(y)) and the base ((al, be), (ga, de))
+    in PGL2(C).  Every element of J has polynomial entries up to a scalar.
+
+    Each element is kept as the one representative of its class: the
+    vertical entries, tuples of Scalars constant term first, are divided by
+    their monic gcd and then by the leading coefficient of the first
+    nonzero one of a, b, c, d, and the base by its first nonzero entry.  So
+    elements that are equal as maps have equal fields, and equality and
+    hashing compare them."""
 
     __slots__ = ("vertical", "base")
 
     def __init__(self, vertical, base):
-        vertical = tuple(tuple(_rf(v) for v in row) for row in vertical)
-        base = tuple(tuple(Scalar.coerce(v) for v in row) for row in base)
-        a, b = vertical[0]
-        c, d = vertical[1]
-        if (a * d - b * c).is_zero():
+        a, b, c, d = (_ypoly(v) for row in vertical for v in row)
+        al, be, ga, de = (Scalar.coerce(v) for row in base for v in row)
+        if not padd(pmul(a, d), pneg(pmul(b, c))):
             raise ValueError("vertical matrix is singular")
-        al, be = base[0]
-        ga, de = base[1]
         if not (al * de - be * ga):
             raise ValueError("base matrix is singular")
-        object.__setattr__(self, "vertical", vertical)
-        object.__setattr__(self, "base", base)
+        g = []
+        for p in (a, b, c, d):
+            g = pgcd(g, p)
+        ents = [pquo_exact(p, g) for p in (a, b, c, d)]
+        lead = next(p for p in ents if p)[-1]
+        a, b, c, d = (tuple(v / lead for v in p) for p in ents)
+        first = next(v for v in (al, be, ga, de) if v)
+        al, be, ga, de = (v / first for v in (al, be, ga, de))
+        object.__setattr__(self, "vertical", ((a, b), (c, d)))
+        object.__setattr__(self, "base", ((al, be), (ga, de)))
 
     def __setattr__(self, *_):
         raise AttributeError("JonqElement is immutable")
 
     @staticmethod
     def identity():
-        one = RatFunc([SONE])
-        zero = RatFunc([])
-        return JonqElement(((one, zero), (zero, one)), ((SONE, SZERO), (SZERO, SONE)))
+        return JonqElement(((1, 0), (0, 1)), ((1, 0), (0, 1)))
 
     def __eq__(self, other):
-        """Equality as maps (both matrices up to scalar)."""
+        """Equality as maps: the representatives are equal."""
         if not isinstance(other, JonqElement):
             return NotImplemented
-        return _proj_eq_2x2(self.vertical, other.vertical) and _proj_eq_2x2(
-            self.base, other.base
-        )
+        return self.vertical == other.vertical and self.base == other.base
 
-
-def _proj_eq_2x2(A, B):
-    a = [A[0][0], A[0][1], A[1][0], A[1][1]]
-    b = [B[0][0], B[0][1], B[1][0], B[1][1]]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
+    def __hash__(self):
+        return hash((self.vertical, self.base))
 
 
 def jonq_to_ratmap(j):
-    """Projective model; the y/z fibration is preserved by construction."""
+    """Projective model, the entries homogenized at their largest degree;
+    the y/z fibration is preserved by construction."""
     (a, b), (c, d) = j.vertical
-    dens = [list(v.den) for v in (a, b, c, d)]
-    D = [SONE]
-    for dn in dens:
-        D = pquo_exact(pmul(D, dn), pgcd(D, dn))
-    ps = []
-    for v in (a, b, c, d):
-        ps.append(pmul(list(v.num), pquo_exact(D, list(v.den))))
-    m = max(pdegree(p) for p in ps if p)
-    m = max(m, 0)
-
-    def homog(p):
-        terms = {}
-        for k, coef in enumerate(p):
-            if coef:
-                terms[(0, k, m - k)] = coef
-        return HomPoly(terms, m)
-
-    PA, PB, PC, PD = (homog(p) for p in ps)
+    m = max(len(p) for p in (a, b, c, d)) - 1
+    PA, PB, PC, PD = (HomPoly({(0, k, m - k): v for k, v in enumerate(p) if v}, m)
+                      for p in (a, b, c, d))
     X, Y, Z = (HomPoly.var(v) for v in ("x", "y", "z"))
     N1 = PA * X + PB * Z
     M1 = PC * X + PD * Z
@@ -479,37 +472,35 @@ def jonq_to_ratmap(j):
     return normalize((N1 * M2, N2 * M1, M1 * M2))
 
 
-def _mobius_subst_matrix(A, base):
+def _at_base(A, base):
+    """The vertical matrix A at y -> (al y + be)/(ga y + de): each entry p
+    becomes p((al y + be)/(ga y + de)) * (ga y + de)^m, with m the largest
+    entry degree, so a polynomial; one factor for all four entries leaves
+    the class in PGL2(C(y)) unchanged."""
     (al, be), (ga, de) = base
-    num = [Scalar.coerce(be), Scalar.coerce(al)]
-    den = [Scalar.coerce(de), Scalar.coerce(ga)]
-    return tuple(
-        tuple(v.subst_mobius(num, den) for v in row) for row in A
-    )
+    num, den = pstrip([be, al]), pstrip([de, ga])
+    m = max(len(p) for row in A for p in row) - 1
+    return tuple(tuple(pmul(peval_mobius(p, num, den), ppow(den, m - pdegree(p))) if p else []
+                       for p in row) for row in A)
 
 
-def _mul2(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
-def _inv2(A):
-    a, b = A[0]
-    c, d = A[1]
-    dt = a * d - b * c
-    return ((d / dt, -b / dt), (-c / dt, a / dt))
+def _mul2(A, B, mul, add):
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return ((add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h))),
+            (add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h))))
 
 
 def jonq_compose(j1, j2):
     """Group law matching ratmap composition: to_ratmap(j1 o j2) == f1 o f2."""
-    vert = _mul2(_mobius_subst_matrix(j1.vertical, j2.base), j2.vertical)
-    base = _mul2(j1.base, j2.base)
+    vert = _mul2(_at_base(j1.vertical, j2.base), j2.vertical, pmul, padd)
+    base = _mul2(j1.base, j2.base, operator.mul, operator.add)
     return JonqElement(vert, base)
 
 
 def jonq_inverse(j):
-    base_inv = _inv2(j.base)
-    vert_inv = _inv2(_mobius_subst_matrix(j.vertical, base_inv))
-    return JonqElement(vert_inv, base_inv)
+    """The inverse by adjugates, which differ from the inverses by scalars."""
+    (al, be), (ga, de) = j.base
+    base_inv = ((de, -be), (-ga, al))
+    (a, b), (c, d) = _at_base(j.vertical, base_inv)
+    return JonqElement(((d, pneg(b)), (pneg(c), a)), base_inv)

@@ -3,9 +3,10 @@
 Polynomials are plain lists of coefficients, constant term first, with no
 trailing zeros (the zero polynomial is the empty list).  Coefficients only
 need the usual operator overloads (+, -, *, /, ==, bool), so the same
-routines serve int, complex, Scalar and RatFunc coefficients alike; a
-routine that starts from a zero or a one takes it as an argument, Scalar by
-default (`pmul(p, q, zero=0)` multiplies int lists).  `_intpoly_divmod` is
+routines serve int, complex and Scalar coefficients alike, and the
+polynomial entries of de Jonquieres elements in `ratmap`; a routine that
+starts from a zero or a one takes it as an argument, Scalar by default
+(`pmul(p, q, zero=0)` multiplies int lists).  `_intpoly_divmod` is
 exact division over Z.  The F_p helpers of `pairpoly` reduce mod p at every
 step and stay there.
 """
@@ -157,129 +158,4 @@ def peval_mobius(p, num, den, zero=SZERO, one=SONE):
         term = pscale(pmul(ppow(num, i, zero, one), ppow(den, n - i, zero, one), zero), c)
         out = padd(out, term)
     return out
-
-
-class RatFunc:
-    """Reduced rational function num/den in the variable y over Scalar.
-
-    The denominator is monic and coprime to the numerator, so equality is
-    syntactic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = [SONE]
-        num = pstrip([Scalar.coerce(c) for c in num])
-        den = pstrip([Scalar.coerce(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            g = pgcd(num, den)
-            if pdegree(g) > 0:
-                num = pquo_exact(num, g)
-                den = pquo_exact(den, g)
-        else:
-            den = [SONE]
-        lead = den[-1]
-        num = [c / lead for c in num]
-        den = [c / lead for c in den]
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
-
-    def __setattr__(self, *_):
-        raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Scalar)) or type(x).__name__ == "Fraction":
-            return RatFunc([Scalar.coerce(x)])
-        raise TypeError(f"cannot coerce {x!r} to RatFunc")
-
-    def is_zero(self):
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        try:
-            other = RatFunc.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = RatFunc.coerce(other)
-        n = padd(pmul(list(self.num), list(other.den)), pmul(list(other.num), list(self.den)))
-        d = pmul(list(self.den), list(other.den))
-        return RatFunc(n, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(pneg(list(self.num)), list(self.den))
-
-    def __sub__(self, other):
-        return self + (-RatFunc.coerce(other))
-
-    def __rsub__(self, other):
-        return RatFunc.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = RatFunc.coerce(other)
-        return RatFunc(pmul(list(self.num), list(other.num)),
-                       pmul(list(self.den), list(other.den)))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(list(self.den), list(self.num))
-
-    def __truediv__(self, other):
-        return self * RatFunc.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return RatFunc.coerce(other) * self.inverse()
-
-    def subst_mobius(self, num, den):
-        """self(v -> num(v)/den(v)) with polynomial num, den over Scalar."""
-        n = peval_mobius(list(self.num), num, den)
-        d = peval_mobius(list(self.den), num, den)
-        # matching den powers: pad the lower-degree side
-        dn = pdegree(list(self.num))
-        dd = pdegree(list(self.den))
-        if dn > dd:
-            d = pmul(d, ppow(den, dn - dd))
-        elif dd > dn:
-            n = pmul(n, ppow(den, dd - dn))
-        return RatFunc(n, d)
-
-    def __str__(self):
-        ns = _poly_str(self.num)
-        if self.den == (SONE,):
-            return ns
-        return f"({ns})/({_poly_str(self.den)})"
-
-    __repr__ = __str__
-
-
-def _poly_str(coeffs):
-    if not coeffs:
-        return "0"
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        mon = "" if i == 0 else "y" if i == 1 else f"y^{i}"
-        parts.append(str(c) if not mon else mon if c == SONE else f"{c}*{mon}")
-    return " + ".join(parts) if parts else "0"
 

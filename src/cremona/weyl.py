@@ -149,24 +149,25 @@ def _char_poly(M):
 
 # -- cyclotomic machinery --------------------------------------------------
 
-_cyclo_cache = {}
-
-
 def cyclotomic(d):
-    """Integer coefficients of the d-th cyclotomic polynomial, constant first."""
-    if d in _cyclo_cache:
-        return _cyclo_cache[d]
+    """Integer coefficients of the d-th cyclotomic polynomial, constant
+    first, as a new list."""
+    return list(_cyclotomic(d))
+
+
+@functools.cache
+def _cyclotomic(d):
+    """Phi_d as a tuple, shared by every caller."""
     if d < 1:
         raise ValueError(f"cyclotomic polynomial index must be at least 1, got {d}")
     # x^d - 1 divided by the product of Phi_e over proper divisors e of d
     num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            num = _intpoly_divmod(num, cyclotomic(e))
+            num = _intpoly_divmod(num, _cyclotomic(e))
             if num is None:
                 raise InexactDivision(f"Phi_{e} does not divide x^{d} - 1")
-    _cyclo_cache[d] = num
-    return num
+    return tuple(num)
 
 
 @functools.cache
@@ -231,7 +232,7 @@ def strip_cyclotomic(p):
             continue
         prime, w = _root_of_unity_mod(d)
         while t < len(p) and not _ueval(p, w, prime):
-            q = _intpoly_divmod(p, cyclotomic(d))
+            q = _intpoly_divmod(p, _cyclotomic(d))
             if q is None:
                 break
             removed.append(d)

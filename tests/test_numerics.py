@@ -4,6 +4,7 @@ import cmath
 
 import pytest
 
+import cremona.numerics as numerics
 from cremona.errors import IllConditioned, NonConvergence, PoleAtSeed
 from cremona.numerics import (
     OrbitCloud,
@@ -89,3 +90,22 @@ def test_newton_converges_near_root():
 def test_newton_far_seed_fails():
     with pytest.raises(NonConvergence):
         newton_solve_vn(7, (1e6, 1e6))
+
+
+def test_newton_evaluates_the_residual_five_times_per_step(monkeypatch):
+    """One residual at (a, b) and one at each of the four difference points."""
+    calls = []
+    residual = numerics._vn_vector_residual
+
+    def counted(a, b, n):
+        calls.append((a, b))
+        return residual(a, b, n)
+
+    monkeypatch.setattr(numerics, "_vn_vector_residual", counted)
+    newton_solve_vn(7, (-0.08 + 0.01j, 0.42 - 0.01j))
+    assert len(calls) % 5 == 1  # the last step stops at its first residual
+    calls.clear()
+    monkeypatch.setattr(numerics, "NEWTON_STEPS", 3)
+    with pytest.raises(NonConvergence):
+        newton_solve_vn(7, (-0.08 + 0.01j, 0.42 - 0.01j))
+    assert len(calls) == 15

@@ -36,6 +36,8 @@ def test_non_automorphism_detected():
     f = parse_polyaut("y + (y + x^2)^2 + (y + x^2)^3, y + x^2")
     assert jung_decompose(f) is NOT_AUTOMORPHISM
     assert jung_decompose(parse_polyaut("x^2, y")) is NOT_AUTOMORPHISM
+    # top(p) = x*y + y^2 holds top(q^2) = y^2 with coefficient 1 but is not 1 * y^2
+    assert jung_decompose(parse_polyaut("x*y + y^2, y")) is NOT_AUTOMORPHISM
 
 
 def test_henon_classification():

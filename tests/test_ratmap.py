@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cremona.catalog import CUBIC_TABLE, PSI, PSI_INVERSE, f_ab
 from cremona.errors import NOT_CONTRACTED, NOT_FOUND, ResourceLimit
 from cremona.linalg import mat_inverse
-from cremona.poly import HomPoly, LinearForm, parse_poly, proportionality
+from cremona.poly import HomPoly, LinearForm, parse_poly
 from cremona.ratmap import (
     JonqElement,
     ProjPoint,
@@ -28,7 +28,8 @@ from cremona.ratmap import (
     quadratic_classify,
 )
 from cremona.scalars import Scalar
-from cremona.unipoly import RatFunc
+from cremona.unipoly import pmul
+from test_sparse import _ratio
 
 SIGMA = parse_ratmap("y*z : x*z : x*y")
 RHO = parse_ratmap("x*y : z^2 : y*z")
@@ -70,7 +71,7 @@ def test_every_map_is_its_one_canonical_representative(comps_c):
     assert f.components == g.components
     assert hash(f) == hash(g)
     assert len({f, g}) == 1
-    assert proportionality(f.components, comps) is not None
+    assert _ratio(f.components, comps) is not None
     # Z[sqrt d] coefficients of content 1, lex-leading one rational and positive
     lead = next(p for p in f.components if p)
     assert lead.leading()[1].is_rational() and lead.leading()[1].a > 0
@@ -204,7 +205,7 @@ def test_inverse_outputs_are_pinned(f, d, old):
     want = CANONICAL_INVERSES.get(old, old)
     assert str(inverse(f, d)) == want
     split = [[parse_poly(p) for p in text.split(":")] for text in (old, want)]
-    assert proportionality(*split) is not None
+    assert _ratio(*split) is not None
 
 
 def test_strata():
@@ -242,58 +243,95 @@ def test_noether_degree_two_and_jonquieres():
         assert all(p.is_consistent() for p in noether_solve(nu))
 
 
-def _rf(*coeffs):
-    return RatFunc(list(coeffs), [Scalar(1)])
+FIELDS = (0, -3)  # Q and Q(sqrt -3)
 
 
-def _random_jonq(rng):
+def _random_jonq(rng, d):
+    """A random element with vertical entries of degree <= 2 in y over
+    Q(sqrt(d)), Q for d = 0."""
     def rnd():
-        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return Scalar(a, rng.randint(-1, 1) if d else 0, d)
 
     while True:
-        A = [[_rf(rnd()) for _ in range(2)] for _ in range(2)]
-        if A[0][0] * A[1][1] - A[0][1] * A[1][0]:
-            break
-    while True:
-        B = [[rnd() for _ in range(2)] for _ in range(2)]
-        if B[0][0] * B[1][1] - B[0][1] * B[1][0]:
-            break
-    return JonqElement(A, B)
+        A = [[[rnd() for _ in range(rng.randint(1, 3))] for _ in range(2)] for _ in range(2)]
+        try:
+            return JonqElement(A, [[rnd() for _ in range(2)] for _ in range(2)])
+        except ValueError:  # a singular matrix; draw again
+            pass
 
 
 def test_jonquieres_group_law_matches_map_composition():
     rng = random.Random(7)
-    for _ in range(5):
-        j1 = _random_jonq(rng)
-        j2 = _random_jonq(rng)
-        lhs = jonq_to_ratmap(jonq_compose(j1, j2))
-        rhs = compose(jonq_to_ratmap(j1), jonq_to_ratmap(j2))
-        assert lhs == rhs
+    for d in FIELDS:
+        for _ in range(4):
+            j1 = _random_jonq(rng, d)
+            j2 = _random_jonq(rng, d)
+            lhs = jonq_to_ratmap(jonq_compose(j1, j2))
+            rhs = compose(jonq_to_ratmap(j1), jonq_to_ratmap(j2))
+            assert lhs == rhs
 
 
 def test_jonquieres_inverse():
     rng = random.Random(11)
-    for _ in range(5):
-        j = _random_jonq(rng)
-        prod = jonq_compose(j, jonq_inverse(j))
-        assert jonq_to_ratmap(prod).is_identity()
+    for d in FIELDS:
+        for _ in range(4):
+            j = _random_jonq(rng, d)
+            inv = jonq_inverse(j)
+            assert jonq_to_ratmap(jonq_compose(j, inv)).is_identity()
+            assert jonq_to_ratmap(jonq_compose(inv, j)).is_identity()
+            assert compose(jonq_to_ratmap(inv), jonq_to_ratmap(j)).is_identity()
+            assert jonq_inverse(inv) == j
 
 
 def test_jonquieres_identity_and_equality_up_to_scalars():
     ident = JonqElement.identity()
     assert jonq_to_ratmap(ident).is_identity()
     rng = random.Random(13)
-    for _ in range(3):
-        j = _random_jonq(rng)
-        assert jonq_compose(j, jonq_inverse(j)) == ident
-        assert jonq_compose(ident, j) == j
-        # each matrix is a map only up to its own scalar
-        scaled = JonqElement([[v * _rf(2) for v in row] for row in j.vertical],
-                             [[v * Scalar(Fraction(-1, 3)) for v in row] for row in j.base])
-        assert scaled == j
-    j = JonqElement(((_rf(0, 1), _rf(1)), (_rf(1), _rf(0))), ident.base)  # x -> y + 1/x
+    for d in FIELDS:
+        for _ in range(3):
+            j = _random_jonq(rng, d)
+            assert jonq_compose(j, jonq_inverse(j)) == ident
+            assert jonq_compose(ident, j) == j and jonq_compose(j, ident) == j
+            # each matrix is a map only up to its own scalar
+            scaled = JonqElement([[[v * 2 for v in p] for p in row] for row in j.vertical],
+                                 [[v * Scalar(Fraction(-1, 3)) for v in row] for row in j.base])
+            assert scaled == j
+    j = JonqElement((([0, 1], 1), (1, 0)), ident.base)  # x -> y + 1/x
     assert j != ident and ident != j
     assert ident.__eq__(RatMap.identity()) is NotImplemented
+
+
+def test_jonquieres_representative_is_one_per_class():
+    """Scaling the vertical matrix by (y + 1) and a constant, and the base
+    by a constant, gives the same fields, the same hash and one set
+    element; the representative is reduced and its first entry monic."""
+    rng = random.Random(17)
+    for d in FIELDS:
+        c = Scalar(2, 1 if d else 0, d)
+        for _ in range(4):
+            j = _random_jonq(rng, d)
+            scaled = JonqElement([[pmul(pmul(list(p), [Scalar(1), Scalar(1)]), [c]) for p in row]
+                                  for row in j.vertical],
+                                 [[v * c for v in row] for row in j.base])
+            assert scaled.vertical == j.vertical and scaled.base == j.base
+            assert scaled == j and hash(scaled) == hash(j)
+            assert len({j, scaled}) == 1
+            entries = [p for row in j.vertical for p in row]
+            assert all(type(p) is tuple and (not p or p[-1]) for p in entries)
+            assert next(p for p in entries if p)[-1] == 1
+            assert next(v for row in j.base for v in row if v) == 1
+
+
+def test_jonquieres_constructor_takes_numbers_and_coefficient_lists():
+    y = [0, 1]
+    j = JonqElement(((y, Fraction(1, 2)), (Scalar(1), 0)), ((1, 0), (0, 1)))
+    assert j.vertical == (((0, 1), (Fraction(1, 2),)), ((1,), ()))  # a = y is monic
+    assert jonq_to_ratmap(j) == parse_ratmap("2*x*y + z^2 : 2*x*y : 2*x*z")
+    with pytest.raises(ValueError):
+        JonqElement(((y, y), (1, 1)), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        JonqElement(((1, 0), (0, 1)), ((1, 2), (2, 4)))
 
 
 def test_compose_reduces_degree_drop():

@@ -1,10 +1,10 @@
-"""The sparse polynomial core shared by HomPoly and BiPoly, and the one
-proportionality test behind `RatMap.__eq__` and `jung_decompose`.
+"""The sparse polynomial core shared by HomPoly and BiPoly.
 
 Arithmetic builds its results without the validating constructor, so the
 tests here pass every result back through it; `RatMap.__eq__` is checked
 against the definition it replaced, the three 2x2 minors of the two
-triples, kept here as the reference.
+triples, kept here as the reference.  `_ratio` is the test-side
+proportionality reference, also used by `test_ratmap`.
 """
 
 from fractions import Fraction
@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremona.poly import BiPoly, HomPoly, proportionality
+from cremona.poly import BiPoly, HomPoly
 from cremona.ratmap import RatMap, normalize
 from cremona.scalars import Scalar
 
@@ -86,20 +86,6 @@ def _ratio(ps, qs):
     ratios = {p.terms[e] / q.terms[e] if e in p.terms and e in q.terms else None
               for p, q in zip(ps, qs) for e in {**p.terms, **q.terms}}
     return ratios.pop() if len(ratios) == 1 else None
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FIELDS), st.integers(min_value=0, max_value=3), st.data())
-def test_proportionality_reads_the_factor(d, n, data):
-    qs = [data.draw(hompolys(n, d)) for _ in range(3)]
-    c = data.draw(nonzero(d))
-    ps = [q * c for q in qs]
-    assert proportionality(ps, qs) == (c if any(qs) else None)
-    mons = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
-    i = data.draw(st.integers(min_value=0, max_value=2))
-    bump = HomPoly.monomial(data.draw(nonzero(d)), data.draw(st.sampled_from(mons)))
-    bumped = ps[:i] + [ps[i] + bump] + ps[i + 1:]  # a changed or an extra term
-    assert proportionality(bumped, qs) == _ratio(bumped, qs)
 
 
 # -- RatMap.__eq__ against the 2x2 minors -------------------------------------------

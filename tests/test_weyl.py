@@ -142,6 +142,13 @@ def test_cyclotomic_polynomials():
     assert cyclotomic(12) == [1, 0, -1, 0, 1]
 
 
+def test_cyclotomic_returns_a_new_list():
+    p = cyclotomic(3)
+    p.append(7)
+    assert cyclotomic(3) == [1, 1, 1]
+    assert strip_cyclotomic([1, 1, 1]) == ([1], [3])
+
+
 @pytest.mark.parametrize("d", [0, -1, -12])
 def test_cyclotomic_index_below_one_is_an_error(d):
     with pytest.raises(ValueError):
