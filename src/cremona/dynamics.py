@@ -2,7 +2,13 @@
 
 Iterate degrees are exact: each composition divides out the common factor,
 so the reported degrees belong to the reduced iterates, not to the naive
-degree products.  Growth classification at a finite horizon is exact too:
+degree products.  Each step is `ratmap._next_iterate`, f^(k+1) = f^k o f.
+Over Q, when f is dominant with coprime components and det Jac(f) splits
+into lines over Q, the common factor of f^k(f) is a product of those lines
+(the curves it contains are contracted by f), so it is peeled off line by
+line, with no gcd, from a substitution on Kronecker-packed ints (see
+`poly`).  Elsewhere the step is compose(f, f^k).  Growth classification at
+a finite horizon is exact too:
 Bounded is certified by map equality, otherwise the class and the dynamical
 degree come from the shortest linear recurrence of the degrees, accepted
 only when the window confirms it.
@@ -22,8 +28,8 @@ from .errors import (
     FieldObstruction,
     ResourceLimit,
 )
-from .poly import factor_linear_cubic, jacobian_det
-from .ratmap import compose, is_contracted_line
+from .poly import _jacobian_lines, factor_linear_cubic, jacobian_det
+from .ratmap import _next_iterate, is_contracted_line
 from .weyl import salem_classify
 
 DIGIT_BUDGET = 10 ** 6
@@ -71,12 +77,13 @@ def degree_sequence(f, N=None):
     seen = {f: 1}  # iterate -> its first step
     period = 0
     cur = f
+    lines = _jacobian_lines(f.components) if N > 1 else None
     for k in range(2, N + 1):
         if cur.coefficient_digits() > DIGIT_BUDGET:
             raise ResourceLimit(
                 f"iterate coefficients passed {DIGIT_BUDGET} digits at step {k}"
             )
-        cur = compose(f, cur)
+        cur = _next_iterate(f, cur, lines)
         degs.append(cur.degree)
         if not period:
             period = k - seen.setdefault(cur, k)

@@ -41,6 +41,25 @@ scale: its components are right up to a constant, and `_canonical`, on the
 same charts, scales forms to content 1 in Z[sqrt(d)] with a positive
 rational lex-leading coefficient.  `parse_poly` reads the input
 grammar with `ast` and evaluates it without Python's `eval`.
+
+Iteration over Q takes no gcd.  `_compose_on_lines` computes cur o f, and
+the common factor it strips is known in advance: when cur and f are
+coprime and f is dominant, a curve on which the three components of
+cur(f0, f1, f2) vanish is contracted by f into the finitely many base
+points of cur, so it lies in det Jac(f) = 0.  When det Jac(f) is a
+product of lines over Q (`_jacobian_lines`, once per orbit), each line
+off z = 0 is peeled off every component by exact synthetic division
+(`_divide_by_line`: a primitive line that divides over Q divides over Z),
+and the power of z is read off the drop in chart degree.  cur(f) itself is
+evaluated on Kronecker-packed ints (`_packed_substitute`): a chart is the
+int sum c * 2^(k*(i + width*j)) with width = deg cur * deg f + 1, and k
+exceeds the bit length of |cur|_1 * max_t |f_t|_1 ^ deg cur, which bounds
+every coefficient of the result, so each slot unpacks as one balanced
+digit.  A product by an f_t is a sum of a few shifted, scaled copies of the
+int, never a product of two big ints.  `ratmap._next_iterate` falls back
+to `compose_reduce` over Q(sqrt(d)), when det Jac(f) = 0, when f's
+components share a factor, when det Jac(f) does not split into lines over
+Q, and when the cached powers of an f_t would pass _PACK_BITS.
 """
 
 from __future__ import annotations
@@ -723,6 +742,251 @@ def _compose_monomials(fcomps, gcomps):
         for e, c in out
     ]
     return comps, HomPoly.monomial(SONE, mins)
+
+
+# -- cur o f on packed ints, stripped by the lines of det Jac(f) ----------------
+
+_PACK_BITS = 1 << 30  # 128 MB of cached powers of an f_t in `_packed_substitute`
+
+
+def _jacobian_lines(fcomps):
+    """The lines of det Jac(f) as primitive int triples (a, b, c) for
+    a*x + b*y + c*z, or None when `_compose_on_lines` does not apply: f not
+    over Q, det Jac(f) = 0, components sharing a factor, or det Jac(f) not a
+    product of lines over Q."""
+    if _field_of(fcomps):
+        return None
+    J = jacobian_det(fcomps)
+    if J.is_zero() or reduce_triple(fcomps)[1] is not None:
+        return None
+    factors = factor_linear_cubic(J)
+    if factors is NOT_FULLY_SPLIT:
+        return None
+    lines = []
+    for lf, _m in factors:
+        den = math.lcm(*(c.a.denominator for c in lf.coeffs))
+        ints = [int(c.a * den) for c in lf.coeffs]
+        g = math.gcd(*ints)
+        lines.append(tuple(v // g for v in ints))
+    return lines
+
+
+def _times(P, shifts):
+    """The packed P times a chart given as (shift, coefficient) pairs: a sum
+    of shifted, scaled copies of P, never a product of two big ints."""
+    out = 0
+    for s, c in shifts:
+        t = P << s if s else P
+        if c == 1:
+            out += t
+        elif c == -1:
+            out -= t
+        else:
+            out += c * t
+    return out
+
+
+def _unpack(P, k, width, top):
+    """rows[j][i], the coefficient of x^i y^j, of the chart of total degree
+    <= top packed in P with slot i + width*j of k bits (k a multiple of 8),
+    each slot read as a balanced digit in [-2^(k-1), 2^(k-1)).  Each row
+    is a list without trailing zeros, and there are top + 1 of them."""
+    kb = k // 8
+    nslots = width * top + 1
+    buf = memoryview(P.to_bytes(nslots * kb + 1, "little", signed=True))
+    half, full = 1 << (k - 1), 1 << k
+    from_bytes = int.from_bytes
+    rows, carry = [], 0
+    for j in range(top + 1):
+        row = []
+        for s in range(width * j, min(width * (j + 1), nslots)):
+            v = from_bytes(buf[s * kb:(s + 1) * kb], "little") + carry
+            carry = v >= half
+            row.append(v - full if carry else v)
+        del row[top - j + 1:]  # the slots past x^(top - j) hold zeros
+        while row and not row[-1]:
+            row.pop()
+        rows.append(row)
+    return rows
+
+
+def _packed_substitute(cforms, n, fcharts, top):
+    """For each form c of degree n, given as a dict from exponent triples to
+    ints, the rows (`_unpack`) of the chart of c(f0, f1, f2), which has
+    total degree <= top = n * deg f.
+
+    The charts go to Kronecker-packed ints, sum c * 2^(k*(i + width*j)) for
+    width = top + 1, where k, a multiple of 8, exceeds the bit length of
+    the bound |c|_1 * max_t |f_t|_1 ^ n on every coefficient of the result
+    by one, so each slot is one balanced digit.  Each c(f) is a Horner
+    scheme over one in the f_t with the fewest terms, with the powers of
+    the f_t with the most terms cached; a product by an f_t is `_times`.
+    None when those powers, about n/2 times the size of the result, would
+    take more than _PACK_BITS.
+    """
+    width = top + 1
+    bound = max(sum(map(abs, t.values())) for t in cforms) \
+        * max(sum(abs(a) for a, _b in t.values()) for t in fcharts) ** n
+    k = -(-(bound.bit_length() + 1) // 8) * 8
+    if k * width * top * (n + 1) // 2 > _PACK_BITS:
+        return None
+    inner, outer, cached = sorted(range(3), key=lambda t: len(fcharts[t]))
+    Y, X, Z = ([(k * (i + width * j), a) for (i, j), (a, _b) in fcharts[t].items()]
+               for t in (inner, outer, cached))
+    zpow = [1]
+    for _ in range(n):
+        zpow.append(_times(zpow[-1], Z))
+    out = []
+    for form in cforms:
+        by_i = {}
+        for e, a in form.items():
+            by_i.setdefault(e[outer], {})[e[inner]] = a
+        acc = 0
+        for i in range(max(by_i, default=0), -1, -1):
+            if acc:
+                acc = _times(acc, X)
+            terms = by_i.get(i)
+            if not terms:
+                continue
+            part = 0
+            for j in range(max(terms), -1, -1):
+                if part:
+                    part = _times(part, Y)
+                a = terms.get(j)
+                if a:
+                    part += a * zpow[n - i - j]
+            acc += part
+        out.append(_unpack(acc, k, width, top))
+    return out
+
+
+def _sub_line(h, q, a, c):
+    """h - (a*x + c) * q for coefficient lists in x, trailing zeros dropped."""
+    out = h + [0] * (len(q) + 1 - len(h))
+    for i, v in enumerate(q):
+        out[i] -= c * v
+        out[i + 1] -= a * v
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _exact_quotient(t, b):
+    """t / b entrywise for an int b != 0, or None when b does not divide t."""
+    if b == 1:
+        return t
+    if b == -1:
+        return [-v for v in t]
+    out = []
+    for v in t:
+        q, r = divmod(v, b)
+        if r:
+            return None
+        out.append(q)
+    return out
+
+
+def _divide_by_line(rows, a, b, c):
+    """The rows (as in `_unpack`) of h / (a*x + b*y + c) for the chart h in
+    rows, or None when the line does not divide h.
+
+    For b != 0 the division runs along y, on coefficients in Z[x]: with
+    h = sum h_j y^j and quotient sum q_j y^j, q_(j-1) = (h_j - (a*x + c) q_j) / b
+    from the top, and h_0 = (a*x + c) q_0 checks it.  For b = 0 each row is
+    divided by a*x + c.  A primitive line that divides h over Q divides it
+    over Z (Gauss), so a remainder on the way is an answer."""
+    if b:
+        out, q = [[] for _ in rows[1:]], []
+        for j in range(len(rows) - 1, 0, -1):
+            q = _exact_quotient(_sub_line(rows[j], q, a, c), b)
+            if q is None:
+                return None
+            out[j - 1] = q
+        if _sub_line(rows[0], q, a, c):
+            return None
+    else:
+        out = []
+        for h in rows:
+            q = [0] * (len(h) - 1)
+            for i in range(len(h) - 1, 0, -1):
+                v, r = divmod(h[i] - (c * q[i] if i < len(q) else 0), a)
+                if r:
+                    return None
+                q[i - 1] = v
+            if h and (not q or h[0] != c * q[0]):
+                return None
+            out.append(q)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _times_line(rows, a, b, c):
+    """The rows of (a*x + b*y + c) * h for the chart h in rows."""
+    out, below = [], []
+    for row in rows + [[]]:
+        new = [b * v for v in below] + [0] * (len(row) + 1 - len(below))
+        for i, v in enumerate(row):
+            new[i] += c * v
+            new[i + 1] += a * v
+        while new and not new[-1]:
+            new.pop()
+        out.append(new)
+        below = row
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _from_rows(rows, degree):
+    """The HomPoly of the given degree whose z = 1 chart has these rows."""
+    return HomPoly._clean({(i, j, degree - i - j): Scalar(v)
+                           for j, row in enumerate(rows) for i, v in enumerate(row) if v},
+                          degree)
+
+
+def _compose_on_lines(ccomps, fcomps, lines):
+    """(components, common_factor_or_None) of c o f, with the contract of
+    `compose_reduce(ccomps, fcomps)`, for f with the lines of det Jac(f)
+    from `_jacobian_lines`; None when the packed ints would be too large.
+
+    No gcd is taken.  When c and f are coprime and f is dominant, every
+    curve on which the three components of c o f vanish is contracted by f
+    into the finitely many base points of c, so it lies in det Jac(f) = 0,
+    and the common factor is a product of its lines.  Each line off z = 0
+    is peeled off every component by `_divide_by_line` as often as it
+    divides all of them; the power of z is read off the drop in chart
+    degree, as in `_divide_out`.
+    """
+    if all(len(p.terms) == 1 for p in ccomps) and \
+            all(len(p.terms) == 1 for p in fcomps):
+        return _compose_monomials(ccomps, fcomps)
+    n = next(p.degree for p in ccomps if p)
+    top = n * fcomps[0].degree
+    cforms = [{(i, j, n - i - j): a for (i, j), (a, _b) in t.items()} for t in _chart(ccomps)[1]]
+    comps = _packed_substitute(cforms, n, _chart(fcomps)[1], top)
+    if comps is None:
+        return None
+    factor = [[1]]  # the rows of the product of the peeled lines
+    for a, b, c in lines:
+        if not (a or b):
+            continue  # z: the drop in chart degree
+        while True:
+            peeled = []
+            for rows in comps:
+                rows = _divide_by_line(rows, a, b, c)
+                if rows is None:
+                    break
+                peeled.append(rows)
+            else:
+                comps = peeled
+                factor = _times_line(factor, a, b, c)
+                continue
+            break
+    degree = max(j + len(row) - 1 for rows in comps for j, row in enumerate(rows) if row)
+    removed = top - degree  # the lines' degree and the power of z
+    out = [_from_rows(rows, degree) for rows in comps]
+    return out, (_from_rows(factor, removed).monic() if removed else None)
 
 
 # -- linear forms and line factorization ----------------------------------

@@ -182,8 +182,6 @@ def jung_decompose(f):
         # cur' = (x - c*y^k, y) o cur; record the inverse (x + c*y^k, y)
         cur = PolyAut((p - qk * c, q))
         peeled.append(Factor("elementary", PolyAut((_X + _Y ** k * c, _Y))))
-        if cur.degree >= d1 and cur.components[0].degree >= d1:
-            return NOT_AUTOMORPHISM
     if not _affine_invertible(cur):
         return NOT_AUTOMORPHISM
     peeled.append(Factor("affine", cur))

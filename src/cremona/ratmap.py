@@ -3,11 +3,13 @@
 A RatMap is a coprime triple of homogeneous forms of a common degree, kept
 as the one representative of its class up to scalars that
 `poly._canonical` picks, so map equality compares components and maps
-hash.  Besides composition and ansatz-based inversion this module carries
-the quadratic birationality criterion (det-jac splits into contracted
-lines), the base points of a quadratic map read off its contracted lines,
-the base-point multiplicity solver, and de Jonquieres elements, each kept
-as one reduced polynomial matrix over a base Mobius map.
+hash.  Besides composition, iteration (one step, `_next_iterate`, shared
+by `iterate` and `dynamics.degree_sequence`) and ansatz-based inversion
+this module carries the quadratic birationality criterion (det-jac splits
+into contracted lines), the base points of a quadratic map read off its
+contracted lines, the base-point multiplicity solver, and de Jonquieres
+elements, each kept as one reduced polynomial matrix over a base Mobius
+map.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .poly import (
     LinearForm,
     _canonical,
     _chart_images,
+    _compose_on_lines,
     _field_of,
+    _jacobian_lines,
     compose_reduce,
     factor_linear_cubic,
     field_roots,
@@ -171,15 +175,36 @@ def compose(f, g):
     return RatMap(tuple(comps), removed_factor=common)
 
 
+def _next_iterate(f, cur, lines):
+    """The iterate after cur = f^k, f^(k+1) = cur o f, with `lines` from
+    `poly._jacobian_lines(f.components)`, computed once per orbit.
+
+    With lines, cur o f comes from `poly._compose_on_lines`, with no gcd;
+    without them, or when its packed ints would be too large, it is
+    compose(f, cur).  Both give the same RatMap, since RatMaps are
+    canonical; only the removed factor differs, and its degree does not."""
+    if lines is not None:
+        out = _compose_on_lines(cur.components, f.components, lines)
+        if out is not None:
+            comps, common = out
+            return RatMap(comps, removed_factor=common)
+    return compose(f, cur)
+
+
 def iterate(f, k):
-    """The k-th iterate of f, k >= 0; the identity for k = 0."""
+    """The k-th iterate of f, k >= 0; the identity for k = 0.
+
+    Each step is `_next_iterate`, as in `dynamics.degree_sequence`, so the
+    removed_factor of the result is the factor removed by the last cur o f
+    (by the last f o cur where that step falls back to `compose`)."""
     if k < 0:
         raise ValueError(f"iterate count must be at least 0, got {k}")
     if k == 0:
         return RatMap.identity()
     out = f
+    lines = _jacobian_lines(f.components) if k > 1 else None
     for _ in range(k - 1):
-        out = compose(f, out)
+        out = _next_iterate(f, out, lines)
     return out
 
 
