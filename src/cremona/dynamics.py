@@ -189,12 +189,14 @@ def stability_probe(f, N=None):
     """Bounded-horizon algebraic-stability check.
 
     Pushes every contraction target p of f through the iteration and tests
-    f^k(p) for indeterminacy (all components vanish), k = 0..N.  Empty
-    collisions means "no obstruction up to horizon N", not a stability
-    proof.
+    f^k(p) for indeterminacy (all components vanish), k = 0..N; N = 0
+    checks the targets themselves.  Empty collisions means "no obstruction
+    up to horizon N", not a stability proof.
     """
     if N is None:
         N = default_horizon(f)
+    if N < 0:
+        raise ValueError(f"horizon must be at least 0, got {N}")
     collisions = []
     for p0 in contraction_targets(f):
         p = p0

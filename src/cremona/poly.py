@@ -14,17 +14,14 @@ Sums and `mul_ground` stay in Scalar arithmetic.  Every product and
 substitution of HomPolys and BiPolys runs on ints, in
 `_substitute_on_chart`: the operands scale by their least common
 denominator to PairPolys (`_chart`: the z = 1 chart of a HomPoly, the terms
-of a BiPoly), and the result is built once, by `_clean`, over the
-denominator of that scaling.  It serves `*` (x*y substituted with the two
-factors), `**`, `substitute`, `BiPoly.subst` (and with it
-`polyaut.aut_compose` and `jung_decompose`), `restrict_to_line`, the search
-for linear factors of `factor_linear_cubic` on BiPolys in (t, gamma) for a
-pencil of lines, and the ansatz images of `ratmap.inverse`
-(`_chart_images`).  Its products come from `_substitute2`, which builds
-each monomial of the substituted polynomial once, as one product of a lower
-monomial with an image; `compose_reduce` calls `_substitute2` itself, on
-the PairPolys of its charts over Q(sqrt(d)) and on sympy's Polys over ZZ
-over Q.
+of a BiPoly), each monomial of the substituted polynomial is built once, as
+one product of a lower monomial with an image, and the result is built
+once, by `_clean`, over the denominator of that scaling.  It serves `*`
+(x*y substituted with the two factors), `**`, `substitute`, `BiPoly.subst`
+(and with it `polyaut.aut_compose` and `jung_decompose`),
+`restrict_to_line`, the search for linear factors of `factor_linear_cubic`
+on BiPolys in (t, gamma) for a pencil of lines, the ansatz images of
+`ratmap.inverse` (`_chart_images`), and `compose_reduce` over Q(sqrt(d)).
 
 Composition, gcd and exact division share one layer in the chart z = 1:
 `_chart` scales forms by their least common denominator to dicts of int
@@ -32,15 +29,26 @@ pairs (A, B) for A + B*sqrt(d), with B = 0 over Q (d is a squarefree int,
 see `scalars`), and `_from_chart` rehomogenizes one divided by a scale.
 Two gcd kernels return the monic gcd and the quotients of their inputs by
 it as charts: over Q, gcd cofactors of sympy Polys over ZZ
-(`_common_factor`, the only use of sympy, imported on first use); over
-Q(sqrt(d)), the modular gcd of `pairpoly`, certified by trial division.
-`_divide_out` turns either answer into components and a removed factor for
+(`_common_factor`, imported on first use; sympy does nothing else in
+cremona, no substitution and no product); over Q(sqrt(d)), the modular gcd
+of `pairpoly`, certified by trial division.  `_divide_out` picks the kernel
+and turns its answer into components and a removed factor for
 `compose_reduce`, `reduce_triple` and `poly_gcd`, and `divide_exact` is
 `pairpoly`'s trial division on two charts.  `compose_reduce` keeps no
 scale: its components are right up to a constant, and `_canonical`, on the
 same charts, scales forms to content 1 in Z[sqrt(d)] with a positive
 rational lex-leading coefficient.  `parse_poly` reads the input
 grammar with `ast` and evaluates it without Python's `eval`.
+
+Every composition over Q substitutes on Kronecker-packed ints
+(`_packed_compose`, shared by `compose_reduce` and the iteration step
+`_compose_on_lines`): a chart is the int sum c * 2^(k*(i + width*j)) with
+width = deg c * deg f + 1, and k exceeds the bit length of
+|c|_1 * max_t |f_t|_1 ^ deg c, which bounds every coefficient of c(f0, f1,
+f2), so each slot unpacks as one balanced digit.  A product by an f_t is a
+sum of a few shifted, scaled copies of the int, never a product of two big
+ints.  When the cached powers of an f_t would pass _PACK_BITS, composition
+falls back to `_substitute_on_chart`.
 
 Iteration over Q takes no gcd.  `_compose_on_lines` computes cur o f, and
 the common factor it strips is known in advance: when cur and f are
@@ -50,16 +58,11 @@ points of cur, so it lies in det Jac(f) = 0.  When det Jac(f) is a
 product of lines over Q (`_jacobian_lines`, once per orbit), each line
 off z = 0 is peeled off every component by exact synthetic division
 (`_divide_by_line`: a primitive line that divides over Q divides over Z),
-and the power of z is read off the drop in chart degree.  cur(f) itself is
-evaluated on Kronecker-packed ints (`_packed_substitute`): a chart is the
-int sum c * 2^(k*(i + width*j)) with width = deg cur * deg f + 1, and k
-exceeds the bit length of |cur|_1 * max_t |f_t|_1 ^ deg cur, which bounds
-every coefficient of the result, so each slot unpacks as one balanced
-digit.  A product by an f_t is a sum of a few shifted, scaled copies of the
-int, never a product of two big ints.  `ratmap._next_iterate` falls back
-to `compose_reduce` over Q(sqrt(d)), when det Jac(f) = 0, when f's
-components share a factor, when det Jac(f) does not split into lines over
-Q, and when the cached powers of an f_t would pass _PACK_BITS.
+and the power of z is read off the drop in chart degree.
+`ratmap._next_iterate` falls back to `compose_reduce` over Q(sqrt(d)),
+when det Jac(f) = 0, when f's components share a factor, when det Jac(f)
+does not split into lines over Q, and when the packed ints would pass
+_PACK_BITS.
 """
 
 from __future__ import annotations
@@ -528,31 +531,34 @@ def _common_factor(hs):
     return (_pairs(g), lead), [(_pairs(c, lead), 1) for c in cofs]
 
 
-def _divide_out(factored, den, field_d, degrees):
-    """(components, factor) of forms of the given degrees from a chart gcd
-    ((g, gden), [(q, s), ...]) of their charts scaled by den.
+def _divide_out(charts, dens, field_d, degrees):
+    """(components, factor) of nonzero forms of the given degrees from their
+    charts, each scaled by its den.
 
-    Each component is q / (s * den), rehomogenized.  The factor is g / gden
-    times the greatest power of z dividing every form, or None when it is 1.
-    Its degree is read off the quotients: a form of degree n whose quotient
-    has chart degree m leaves n - m to g and z, the least over the forms.
+    The gcd kernel is picked by the field: over Q, gcd cofactors of sympy's
+    Polys over ZZ (`_common_factor`); over Q(sqrt(d)), the modular gcd of
+    `pairpoly`, certified by trial division.  Each gives the monic gcd
+    g / gden and the quotient q / s of each chart by it, so a component is
+    q / (s * den), rehomogenized.  The factor is g / gden times the greatest
+    power of z dividing every form, or None when it is 1.  Its degree is
+    read off the quotients: a form of degree n whose quotient has chart
+    degree m leaves n - m to g and z, the least over the forms.
     """
-    (g, gden), quotients = factored
+    if field_d:
+        (g, gden), quotients = gcd_cofactors(charts, field_d)
+    else:
+        (g, gden), quotients = _common_factor([_poly2(t) for t in charts])
     gdeg = min(n - _total_degree(q) for (q, _s), n in zip(quotients, degrees))
     comps = [_from_chart(HomPoly, q, s * den, field_d, n - gdeg)
-             for (q, s), n in zip(quotients, degrees)]
+             for (q, s), den, n in zip(quotients, dens, degrees)]
     return comps, (_from_chart(HomPoly, g, gden, field_d, gdeg) if gdeg else None)
 
 
 def _reduce(forms):
     """`_divide_out` for nonzero forms on their own charts."""
-    field_d = _field_of(forms)
     den, charts = _chart(forms)
-    if field_d:
-        factored = gcd_cofactors(charts, field_d)
-    else:
-        factored = _common_factor([_poly2(t) for t in charts])
-    return _divide_out(factored, den, field_d, [p.degree for p in forms])
+    return _divide_out(charts, [den] * len(forms), _field_of(forms),
+                       [p.degree for p in forms])
 
 
 def reduce_triple(raws):
@@ -583,21 +589,27 @@ def poly_gcd(p, q):
     return HomPoly.constant(1) if g is None else g
 
 
-def _substitute2(fterms, gs, one, zero):
-    """f(g0, g1, ...) for each term dict f of fterms, whose exponent tuples
-    have one entry per element of gs.
+def _substitute_on_chart(fs, gs):
+    """(field_d, [(h, s) for each f in fs]): h is the chart (`_chart`) of
+    s * f(g0, g1, ...) for a term dict f over Scalar whose exponent tuples
+    have one entry per g, and s a positive int.  The gs are HomPolys or
+    BiPolys; every product and substitution of them runs here, on ints.
 
-    Each distinct monomial in f's support is built once, as one product of
-    a lower monomial (cached for this call) with an element of gs.  The gs
-    need `*`, `+` and `mul_ground` by a coefficient of f: PairPolys, from
-    `_substitute_on_chart` and `compose_reduce` over Q(sqrt(d)), and the
-    dehomogenized sympy Polys over ZZ of `compose_reduce` over Q.  A
-    monomial is built by walking down to the nearest cached one, with no
-    recursion, so a high power is no deeper than a low one.
+    The gs scale by their least common denominator den to PairPolys.  Each
+    f scales by its own, fden, and each term of exponents e by
+    den^(top - |e|) for f's total degree top, so that s = fden * den^top.
+    Each distinct monomial in the support of the fs is built once, as one
+    product of a lower monomial (cached for this call) with an image,
+    walking down to the nearest cached one with no recursion, so a high
+    power is no deeper than a low one.  IncompatibleField when the
+    coefficients lie in two fields.
     """
-    n = len(gs)
-    monos = {(0,) * n: one}
-    for t, g in enumerate(gs):
+    field_d = _field_of(gs, fs)
+    den, charts = _chart(gs)
+    images = [PairPoly(t, field_d) for t in charts]
+    n = len(images)
+    monos = {(0,) * n: PairPoly({(0, 0): (1, 0)}, field_d)}
+    for t, g in enumerate(images):
         monos[tuple(int(a == t) for a in range(n))] = g
 
     def monomial(e):
@@ -608,46 +620,20 @@ def _substitute2(fterms, gs, one, zero):
             e = e[:t] + (e[t] - 1,) + e[t + 1:]
         m = monos[e]
         for e, t in reversed(chain):
-            m = monos[e] = m * gs[t]
+            m = monos[e] = m * images[t]
         return m
 
-    hs = []
-    for terms in fterms:
-        acc = zero
-        for e, c in terms.items():
-            acc = acc + monomial(e).mul_ground(c)
-        hs.append(acc)
-    return hs
-
-
-def _substitute_on_chart(fs, gs):
-    """(field_d, [(h, s) for each f in fs]): h is the chart (`_chart`) of
-    s * f(g0, g1, ...) for a term dict f over Scalar whose exponent tuples
-    have one entry per g, and s a positive int.  The gs are HomPolys or
-    BiPolys; every product and substitution of them runs here, on ints.
-
-    The gs scale by their least common denominator den to PairPolys.  Each
-    f scales by its own, fden, and each term of exponents e by
-    den^(top - |e|) for f's total degree top, so that s = fden * den^top,
-    and `_substitute2` forms the products of the PairPolys.
-    IncompatibleField when the coefficients lie in two fields.
-    """
-    field_d = _field_of(gs, fs)
-    den, charts = _chart(gs)
-    fpairs, scales = [], []
+    out = []
     for f in fs:
         top = max(map(sum, f), default=0)
         fden = _den(f)
-        pairs = {}
+        acc = PairPoly({}, field_d)
         for e, c in f.items():
             m = fden * den ** (top - sum(e))
-            pairs[e] = (c.a.numerator * (m // c.a.denominator),
-                        c.b.numerator * (m // c.b.denominator))
-        fpairs.append(pairs)
-        scales.append(fden * den ** top)
-    hs = _substitute2(fpairs, [PairPoly(t, field_d) for t in charts],
-                      PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d))
-    return field_d, [(h.terms, s) for h, s in zip(hs, scales)]
+            acc = acc + monomial(e).mul_ground((c.a.numerator * (m // c.a.denominator),
+                                                c.b.numerator * (m // c.b.denominator)))
+        out.append((acc.terms, fden * den ** top))
+    return field_d, out
 
 
 def _substitute(f, gs, cls, degree):
@@ -672,46 +658,37 @@ def compose_reduce(fcomps, gcomps):
     """Substitute the triple g into each component of f and strip the
     common factor.  Returns (components, common_factor_or_None).
 
-    Both triples go to their z = 1 charts on int pairs (`_chart`; nothing
-    is lost, since everything is homogeneous), f's chart is substituted
-    with g's, and `_divide_out` takes the common factor and the components
-    from a gcd kernel that also returns the quotients, with no polynomial
-    exact division.  The kernel is picked by the field: over Q, sympy's
-    Polys over ZZ substitute and take gcd cofactors (`_common_factor`);
-    over Q(sqrt(d)), PairPolys substitute and the modular gcd of `pairpoly`
-    is certified by trial division, whose quotients are the components.  On
-    both, the common factor is the gcd made monic in lex order with x > y,
-    and the components are the h / g up to one constant factor, which
-    `RatMap` replaces by its canonical one (`_canonical`).
+    Both triples go to their z = 1 charts on ints (nothing is lost, since
+    everything is homogeneous), and f's charts are substituted with g's:
+    over Q on Kronecker-packed ints (`_packed_compose`), and over
+    Q(sqrt(d)), or when the packed ints would pass _PACK_BITS, on the int
+    pairs of `_substitute_on_chart`.  `_divide_out` takes the common factor
+    and the components from a gcd kernel that also returns the quotients,
+    with no polynomial exact division: sympy's gcd cofactors over ZZ over
+    Q, the certified modular gcd of `pairpoly` over Q(sqrt(d)).  On both,
+    the common factor is the gcd made monic in lex order with x > y, and
+    the components are the h / g up to one constant factor, which `RatMap`
+    replaces by its canonical one (`_canonical`).
     """
     if all(len(p.terms) == 1 for p in fcomps) and \
             all(len(p.terms) == 1 for p in gcomps):
         return _compose_monomials(fcomps, gcomps)
     field_d = _field_of([*fcomps, *gcomps])
-    dg = next(p.degree for p in gcomps if not p.is_zero())
-    df = next(p.degree for p in fcomps if not p.is_zero())
-    bigdeg = df * dg
-    fcharts = _chart(fcomps)[1]
-    gcharts = _chart(gcomps)[1]
-    if field_d:
-        gs = [PairPoly(t, field_d) for t in gcharts]
-        one, zero = PairPoly({(0, 0): (1, 0)}, field_d), PairPoly({}, field_d)
-    else:  # over ZZ sympy's Polys substitute faster at these degrees
-        gs = [_poly2(t) for t in gcharts]
-        one, zero = _poly2({(0, 0): (1, 0)}), _poly2({})
-        fcharts = [{k: a for k, (a, _b) in t.items()} for t in fcharts]
-    hs = _substitute2([{(i, j, df - i - j): c for (i, j), c in t.items()} for t in fcharts],
-                      gs, one, zero)
-    nonzero = [h for h in hs if h]
+    packed = None if field_d else _packed_compose(fcomps, gcomps)
+    if packed is None:
+        field_d, hs = _substitute_on_chart([p.terms for p in fcomps], gcomps)
+        top = next(p.degree for p in fcomps if p) * next(p.degree for p in gcomps if p)
+    else:
+        top, rows = packed
+        hs = [({(i, j): (v, 0) for j, row in enumerate(r) for i, v in enumerate(row) if v}, 1)
+              for r in rows]
+    nonzero = [(h, s) for h, s in hs if h]
     if not nonzero:
         return [HomPoly.zero(0)] * 3, None
-    if field_d:
-        factored = gcd_cofactors([h.terms for h in nonzero], field_d)
-    else:
-        factored = _common_factor(nonzero)
-    comps, factor = _divide_out(factored, 1, field_d, [bigdeg] * len(nonzero))
+    comps, factor = _divide_out([h for h, _s in nonzero], [s for _h, s in nonzero],
+                                field_d, [top] * len(nonzero))
     it = iter(comps)
-    return [next(it) if h else HomPoly.zero(comps[0].degree) for h in hs], factor
+    return [next(it) if h else HomPoly.zero(comps[0].degree) for h, _s in hs], factor
 
 
 def _compose_monomials(fcomps, gcomps):
@@ -945,28 +922,36 @@ def _from_rows(rows, degree):
                           degree)
 
 
+def _packed_compose(ccomps, fcomps):
+    """(top, rows) for c o f over Q: rows holds, for each component of c,
+    the rows (`_unpack`) of the chart of c(f0, f1, f2) by
+    `_packed_substitute`, whose total degree is at most top = deg c * deg f.
+    None when the packed ints would pass _PACK_BITS."""
+    n = next(p.degree for p in ccomps if p)
+    top = n * next(p.degree for p in fcomps if p)
+    cforms = [{(i, j, n - i - j): a for (i, j), (a, _b) in t.items()} for t in _chart(ccomps)[1]]
+    rows = _packed_substitute(cforms, n, _chart(fcomps)[1], top)
+    return None if rows is None else (top, rows)
+
+
 def _compose_on_lines(ccomps, fcomps, lines):
     """(components, common_factor_or_None) of c o f, with the contract of
     `compose_reduce(ccomps, fcomps)`, for f with the lines of det Jac(f)
     from `_jacobian_lines`; None when the packed ints would be too large.
 
-    No gcd is taken.  When c and f are coprime and f is dominant, every
-    curve on which the three components of c o f vanish is contracted by f
-    into the finitely many base points of c, so it lies in det Jac(f) = 0,
-    and the common factor is a product of its lines.  Each line off z = 0
-    is peeled off every component by `_divide_by_line` as often as it
-    divides all of them; the power of z is read off the drop in chart
-    degree, as in `_divide_out`.
+    c(f) comes from `_packed_compose`, as in `compose_reduce`, but no gcd
+    is taken.  When c and f are coprime and f is dominant, every curve on
+    which the three components of c o f vanish is contracted by f into the
+    finitely many base points of c, so it lies in det Jac(f) = 0, and the
+    common factor is a product of its lines.  Each line off z = 0 is peeled
+    off every component by `_divide_by_line` as often as it divides all of
+    them; the power of z is read off the drop in chart degree, as in
+    `_divide_out`.
     """
-    if all(len(p.terms) == 1 for p in ccomps) and \
-            all(len(p.terms) == 1 for p in fcomps):
-        return _compose_monomials(ccomps, fcomps)
-    n = next(p.degree for p in ccomps if p)
-    top = n * fcomps[0].degree
-    cforms = [{(i, j, n - i - j): a for (i, j), (a, _b) in t.items()} for t in _chart(ccomps)[1]]
-    comps = _packed_substitute(cforms, n, _chart(fcomps)[1], top)
-    if comps is None:
+    packed = _packed_compose(ccomps, fcomps)
+    if packed is None:
         return None
+    top, comps = packed
     factor = [[1]]  # the rows of the product of the peeled lines
     for a, b, c in lines:
         if not (a or b):

@@ -179,10 +179,12 @@ def _next_iterate(f, cur, lines):
     """The iterate after cur = f^k, f^(k+1) = cur o f, with `lines` from
     `poly._jacobian_lines(f.components)`, computed once per orbit.
 
-    With lines, cur o f comes from `poly._compose_on_lines`, with no gcd;
-    without them, or when its packed ints would be too large, it is
-    compose(f, cur).  Both give the same RatMap, since RatMaps are
-    canonical; only the removed factor differs, and its degree does not."""
+    With lines, cur o f comes from `poly._compose_on_lines`: the packed
+    substitution that `compose` also uses over Q, with the lines peeled off
+    instead of a gcd.  Without lines, or when the packed ints would be too
+    large, it is compose(f, cur).  Both give the same RatMap, since RatMaps
+    are canonical; only the removed factor differs, and its degree does
+    not."""
     if lines is not None:
         out = _compose_on_lines(cur.components, f.components, lines)
         if out is not None:

@@ -142,6 +142,11 @@ def test_stability(capsys):
     assert data["no_obstruction"] and data["collisions"] == []
 
 
+def test_stability_rejects_a_negative_horizon(capsys):
+    code, out = run(capsys, "stability", "--f", "y*z : x*z : x*y", "--n", "-1")
+    assert code == 1 and out == ""
+
+
 def test_vn_solve(capsys):
     code, data = run_json(capsys, "vn-solve", "--n", "7", "--guess", "-0.08+0.01j, 0.42-0.01j")
     assert code == 0 and data["residual"] < 1e-10

@@ -188,6 +188,14 @@ def test_stability_probe_clean_map():
     assert rep.collisions == []
 
 
+def test_stability_probe_horizon_zero_checks_the_targets_and_negative_is_an_error():
+    rep = stability_probe(SIGMA, N=0)
+    assert rep.horizon == 0 and rep.collisions
+    assert all(k == 0 for (_t, k, _p) in rep.collisions)
+    with pytest.raises(ValueError, match="at least 0"):
+        stability_probe(SIGMA, N=-1)
+
+
 def test_stability_probe_bk_family_obstructed():
     # the contraction target (0:1:0) of f_ab is itself indeterminate
     rep = stability_probe(f_ab(1, 2), N=6)
