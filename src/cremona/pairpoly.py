@@ -1,25 +1,32 @@
-"""Bivariate polynomials over Q(sqrt(d)) on pairs of ints, and their
+"""Bivariate polynomials over Q and Q(sqrt(d)) on pairs of ints, and their
 greatest common divisor by a certified modular algorithm.
 
-`scalars` keeps the d of Q(sqrt(d)) as a squarefree int e, so any
-polynomial over Q(sqrt(e)) scales to one whose coefficients are
-A + B*sqrt(e) with A and B ints.  Such a polynomial in x, y is a dict
-{(i, j): (A, B)} with no (0, 0) values; a rational one is a pair
-(terms, den) standing for terms / den.
+`scalars` keeps the d of Q(sqrt(d)) as a squarefree int e, and e = 0 is Q,
+so any polynomial over Q(sqrt(e)) scales to one whose coefficients are
+A + B*sqrt(e) with A and B ints, and B = 0 over Q.  Such a polynomial in
+x, y is a dict {(i, j): (A, B)} with no (0, 0) values; a rational one is a
+pair (terms, den) standing for terms / den.
 
 `gcd_cofactors` returns the gcd g, monic in lex order with x > y, and the
-quotients of its inputs by g.  At a prime p where e is a nonzero square, the
-two roots +-r of e mod p give two maps sigma of Z[sqrt(e)] onto F_p.  The gcd
-of the images under each is found by Brown's dense bivariate algorithm
-(J. ACM 18, 1971), and the two image gcds give a and b mod p for each
-coefficient a + b*sqrt(e) of g (Langemyr and McCallum, J. Symbolic Comput. 8,
-1989).  Images from several primes are combined by the Chinese remainder
-theorem and rational reconstruction, and a candidate c is accepted only when
-it divides every input exactly.  That proves c = g: c divides g, and at a
-good prime sigma(g) divides the image gcd, so LM(g) divides LM(image) =
-LM(c).  A prime is good when e is a nonzero square mod p, p does not divide
-2e, and p does not divide the norm of the lex-leading coefficient of the
-first input; then g has p-integral coefficients and sigma(g) is defined.
+quotients of its inputs by g; it is the one gcd kernel of `poly`, on both
+fields.  At a prime p where e is a nonzero square, the two roots +-r of e
+mod p give two maps sigma of Z[sqrt(e)] onto F_p.  The gcd of the images
+under each is found by Brown's dense bivariate algorithm (J. ACM 18, 1971),
+and the two image gcds give a and b mod p for each coefficient a + b*sqrt(e)
+of g (Langemyr and McCallum, J. Symbolic Comput. 8, 1989).  Over Q one map,
+reduction mod p, gives a mod p, and b stays 0.  Images from several primes
+are combined by the Chinese remainder theorem and rational reconstruction,
+and a candidate c is accepted only when it divides every input exactly.
+That proves c = g: c divides g, and at a good prime sigma(g) divides the
+image gcd, so LM(g) divides LM(image) = LM(c).  A prime is good when p does
+not divide the norm of the lex-leading coefficient of the first input and,
+over Q(sqrt(e)), e is a nonzero square mod p and p does not divide 2e; then
+g has p-integral coefficients and sigma(g) is defined.
+
+Both lex divisions, Brown's check of each image gcd over F_p
+(`_divides_mod`) and the exact trial division on int pairs (`_divide`),
+scan a dense grid of the dividend's x- and y-degrees once, in descending
+lex order.
 """
 
 from __future__ import annotations
@@ -124,26 +131,32 @@ def _modular_gcd(polys, e, primes):
     modulus = 1
     residues = {}  # monomial -> (a, b) mod modulus
     for p in primes:
-        if not norm % p or not e % p or pow(e % p, (p - 1) // 2, p) != 1:
+        if not norm % p or e and (not e % p or pow(e % p, (p - 1) // 2, p) != 1):
             continue
-        r = _sqrt_mod(e % p, p)
+        r = _sqrt_mod(e % p, p) if e else 0  # over Q, one image: reduction mod p
         plus = _gcd_mod([_image(h, r, p) for h in polys], p)
         lm = max(plus)
         if lm == (0, 0):
             return ({(0, 0): (1, 0)}, 1), [(h, 1) for h in polys]
         if best is not None and lm > best:
             continue
-        minus = _gcd_mod([_image(h, p - r, p) for h in polys], p)
-        if max(minus) != lm:
-            continue
+        if e:
+            minus = _gcd_mod([_image(h, p - r, p) for h in polys], p)
+            if max(minus) != lm:
+                continue
+            half = (p + 1) // 2
+            inv2r = pow(2 * r, -1, p)
+            image = {}
+            for k in plus.keys() | minus.keys():
+                u, v = plus.get(k, 0), minus.get(k, 0)
+                image[k] = (u + v) * half % p, (u - v) * inv2r % p
+        else:
+            image = {k: (u, 0) for k, u in plus.items()}
         if best is None or lm < best:
             best, modulus, residues = lm, 1, {}
-        half = (p + 1) // 2
-        inv2r = pow(2 * r, -1, p)
         m_inv = pow(modulus, -1, p)
-        for k in residues.keys() | plus.keys() | minus.keys():
-            u, v = plus.get(k, 0), minus.get(k, 0)
-            a_p, b_p = (u + v) * half % p, (u - v) * inv2r % p
+        for k in residues.keys() | image.keys():
+            a_p, b_p = image.get(k, (0, 0))
             a_m, b_m = residues.get(k, (0, 0))
             residues[k] = (a_m + modulus * ((a_p - a_m) * m_inv % p),
                            b_m + modulus * ((b_p - b_m) * m_inv % p))
@@ -250,45 +263,64 @@ def _reconstruct(residues, modulus):
             for k, (fa, fb) in fracs.items()}, den
 
 
+def _grid(h, width):
+    """Rows over x-degree i, each a list over y-degree j < width, of the
+    values of the term dict h."""
+    grid = [[0] * width for _ in range(max(h)[0] + 1)]
+    for (i, j), v in h.items():
+        grid[i][j] = v
+    return grid
+
+
 def _divide(h, c, e):
     """h / (g / den) for pair terms h and c = (g, den) with lex-leading
-    coefficient (den, 0), as (q, s) standing for q / s; None if inexact."""
+    coefficient (den, 0), as (q, s) standing for q / s; None if inexact.
+
+    Lex division with x > y, fraction-free, as one descending-lex scan of
+    h's dense grid of x- and y-degrees, one grid for A and one for B of
+    A + B*sqrt(e).  When g divides h, every partial remainder has x- and
+    y-degrees within h's, so a term that would land outside the grid, or a
+    leading term that g's does not divide, means g does not divide h.
+    """
     g, den = c
-    lm = max(g)
-    gi, gj = lm
-    rest = [(k, v) for k, v in g.items() if k != lm]
-    rem = dict(h)
+    gi, gj = lm = max(g)
+    rest = [(i - gi, j - gj, u, v) for (i, j), (u, v) in g.items() if (i, j) != lm]
+    width = max(j for _i, j in h) + 1
+    A = _grid({k: a for k, (a, _b) in h.items()}, width)
+    B = _grid({k: b for k, (_a, b) in h.items()}, width)
+    irrational = any(v for _di, _dj, _u, v in rest)  # a rational g moves B only by b
     quot = {}
-    s = 1  # rem and quot stand for rem / s and quot / s
-    while rem:
-        k = max(rem)
-        di, dj = k[0] - gi, k[1] - gj
-        if di < 0 or dj < 0:
-            return None
-        a, b = rem.pop(k)
-        step = den // math.gcd(den, a, b)
-        if step > 1:
-            s *= step
-            a, b = a * step, b * step
-            rem = {t: (u * step, v * step) for t, (u, v) in rem.items()}
-            quot = {t: (u * step, v * step) for t, (u, v) in quot.items()}
-        quot[(di, dj)] = (a, b)
-        a //= den
-        b //= den
-        eb = e * b
-        for (i, j), (u, v) in rest:
-            t = (i + di, j + dj)
-            du, dv = a * u + eb * v, a * v + b * u
-            if t in rem:
-                ou, ov = rem[t]
-                ou -= du
-                ov -= dv
-                if ou or ov:
-                    rem[t] = (ou, ov)
-                else:
-                    del rem[t]
-            else:
-                rem[t] = (-du, -dv)
+    s = 1  # the grids and quot stand for them / s
+    for i in range(len(A) - 1, -1, -1):
+        ra, rb = A[i], B[i]
+        for j in range(width - 1, -1, -1):
+            a, b = ra[j], rb[j]
+            if not (a or b):
+                continue
+            if i < gi or j < gj:
+                return None
+            step = den // math.gcd(den, a, b)
+            if step > 1:
+                s *= step
+                a, b = a * step, b * step
+                for grid in (A, B):
+                    for t in range(i):
+                        grid[t] = [v * step for v in grid[t]]
+                ra[:j] = [v * step for v in ra[:j]]
+                rb[:j] = [v * step for v in rb[:j]]
+                quot = {k: (u * step, v * step) for k, (u, v) in quot.items()}
+            quot[(i - gi, j - gj)] = (a, b)
+            a //= den
+            b //= den
+            eb = e * b
+            for di, dj, u, v in rest:
+                t = j + dj
+                if t >= width:
+                    return None
+                A[i + di][t] -= a * u + eb * v
+            if b or irrational:
+                for di, dj, u, v in rest:
+                    B[i + di][j + dj] -= a * v + b * u
     return quot, s
 
 
@@ -396,25 +428,27 @@ def _monic_mod(q, p):
 
 
 def _divides_mod(h, g, p):
-    """Whether g divides h over F_p (lex division with x > y)."""
-    lm = max(g)
-    gi, gj = lm
+    """Whether g divides h over F_p: lex division with x > y as one
+    descending-lex scan of h's dense grid, as in `_divide`."""
+    gi, gj = lm = max(g)
     inv = pow(g[lm], -1, p)
-    rest = [(k, v) for k, v in g.items() if k != lm]
-    rem = dict(h)
-    while rem:
-        k = max(rem)
-        if k[0] < gi or k[1] < gj:
-            return False
-        c = rem.pop(k) * inv % p
-        di, dj = k[0] - gi, k[1] - gj
-        for (i, j), v in rest:
-            t = (i + di, j + dj)
-            w = (rem.get(t, 0) - c * v) % p
-            if w:
-                rem[t] = w
-            else:
-                rem.pop(t, None)
+    rest = [(i - gi, j - gj, v) for (i, j), v in g.items() if (i, j) != lm]
+    width = max(j for _i, j in h) + 1
+    grid = _grid(h, width)
+    for i in range(len(grid) - 1, -1, -1):
+        row = grid[i]
+        for j in range(width - 1, -1, -1):
+            c = row[j] % p
+            if not c:
+                continue
+            if i < gi or j < gj:
+                return False
+            c = c * inv % p
+            for di, dj, v in rest:
+                t = j + dj
+                if t >= width:
+                    return False
+                grid[i + di][t] -= c * v
     return True
 
 

@@ -27,18 +27,16 @@ Composition, gcd and exact division share one layer in the chart z = 1:
 `_chart` scales forms by their least common denominator to dicts of int
 pairs (A, B) for A + B*sqrt(d), with B = 0 over Q (d is a squarefree int,
 see `scalars`), and `_from_chart` rehomogenizes one divided by a scale.
-Two gcd kernels return the monic gcd and the quotients of their inputs by
-it as charts: over Q, gcd cofactors of sympy Polys over ZZ
-(`_common_factor`, imported on first use; sympy does nothing else in
-cremona, no substitution and no product); over Q(sqrt(d)), the modular gcd
-of `pairpoly`, certified by trial division.  `_divide_out` picks the kernel
-and turns its answer into components and a removed factor for
-`compose_reduce`, `reduce_triple` and `poly_gcd`, and `divide_exact` is
-`pairpoly`'s trial division on two charts.  `compose_reduce` keeps no
-scale: its components are right up to a constant, and `_canonical`, on the
-same charts, scales forms to content 1 in Z[sqrt(d)] with a positive
-rational lex-leading coefficient.  `parse_poly` reads the input
-grammar with `ast` and evaluates it without Python's `eval`.
+One gcd kernel, the modular gcd of `pairpoly` certified by trial
+division, returns the monic gcd and the quotients of its inputs by it as
+charts on both fields.  `_divide_out` turns its answer into components and
+a removed factor for `compose_reduce`, `reduce_triple` and `poly_gcd`, and
+`divide_exact` is `pairpoly`'s trial division on two charts.
+`compose_reduce` keeps no scale: its components are right up to a
+constant, and `_canonical`, on the same charts, scales forms to content 1
+in Z[sqrt(d)] with a positive rational lex-leading coefficient.
+`parse_poly` reads the input grammar with `ast` and evaluates it without
+Python's `eval`.
 
 Every composition over Q substitutes on Kronecker-packed ints
 (`_packed_compose`, shared by `compose_reduce` and the iteration step
@@ -68,7 +66,6 @@ _PACK_BITS.
 from __future__ import annotations
 
 import ast
-import functools
 import math
 from fractions import Fraction
 
@@ -485,69 +482,19 @@ def _total_degree(terms):
     return max(i + j for i, j in terms)
 
 
-@functools.cache
-def _zz():
-    """sympy's Poly, DMP, ZZ and the symbols x, y, imported on first use."""
-    import sympy
-    from sympy.polys.polyclasses import DMP
-
-    return sympy.Poly, DMP, sympy.ZZ, sympy.symbols("x y")
-
-
-def _poly2(terms):
-    """The Poly over ZZ in (x, y) of a chart over Q, built from its DMP
-    without the option processing of `Poly.from_dict`."""
-    Poly, DMP, ZZ, gens = _zz()
-    return Poly.new(DMP.from_dict({k: a for k, (a, _b) in terms.items()}, 1, ZZ), *gens)
-
-
-def _pairs(pol, lead=1):
-    """Chart of lead * pol for a Poly over ZZ."""
-    return {k: (v * lead, 0) for k, v in pol.as_dict(native=True).items()}
-
-
-def _common_factor(hs):
-    """The gcd kernel over Q, on nonzero Polys over ZZ, with the contract of
-    `pairpoly.gcd_cofactors`: ((g, gden), [(q, s), ...]) as charts, g / gden
-    the monic gcd and q / s the quotient of each h by it.
-
-    The quotients come from gcd cofactors rather than exact division: the
-    cofactors of (g, h) give the new gcd, h's cofactor, and the factor by
-    which the earlier cofactors grow when the gcd shrinks.  h / monic(g) is
-    lc(g) * (h / g).
-    """
-    g = hs[0]
-    cofs = [g.one]
-    for h in hs[1:]:
-        if g.is_ground:
-            break
-        g, shrink, cof = g.cofactors(h)
-        if not shrink.is_one:
-            cofs = [c * shrink for c in cofs]
-        cofs.append(cof)
-    if g.is_ground:
-        return ({(0, 0): (1, 0)}, 1), [(_pairs(h), 1) for h in hs]
-    lead = int(g.LC())
-    return (_pairs(g), lead), [(_pairs(c, lead), 1) for c in cofs]
-
-
 def _divide_out(charts, dens, field_d, degrees):
     """(components, factor) of nonzero forms of the given degrees from their
     charts, each scaled by its den.
 
-    The gcd kernel is picked by the field: over Q, gcd cofactors of sympy's
-    Polys over ZZ (`_common_factor`); over Q(sqrt(d)), the modular gcd of
-    `pairpoly`, certified by trial division.  Each gives the monic gcd
-    g / gden and the quotient q / s of each chart by it, so a component is
-    q / (s * den), rehomogenized.  The factor is g / gden times the greatest
-    power of z dividing every form, or None when it is 1.  Its degree is
-    read off the quotients: a form of degree n whose quotient has chart
-    degree m leaves n - m to g and z, the least over the forms.
+    The gcd kernel is the certified modular gcd of `pairpoly`, on both
+    fields.  It gives the monic gcd g / gden and the quotient q / s of each
+    chart by it, so a component is q / (s * den), rehomogenized.  The
+    factor is g / gden times the greatest power of z dividing every form,
+    or None when it is 1.  Its degree is read off the quotients: a form of
+    degree n whose quotient has chart degree m leaves n - m to g and z, the
+    least over the forms.
     """
-    if field_d:
-        (g, gden), quotients = gcd_cofactors(charts, field_d)
-    else:
-        (g, gden), quotients = _common_factor([_poly2(t) for t in charts])
+    (g, gden), quotients = gcd_cofactors(charts, field_d)
     gdeg = min(n - _total_degree(q) for (q, _s), n in zip(quotients, degrees))
     comps = [_from_chart(HomPoly, q, s * den, field_d, n - gdeg)
              for (q, s), den, n in zip(quotients, dens, degrees)]
@@ -663,12 +610,11 @@ def compose_reduce(fcomps, gcomps):
     over Q on Kronecker-packed ints (`_packed_compose`), and over
     Q(sqrt(d)), or when the packed ints would pass _PACK_BITS, on the int
     pairs of `_substitute_on_chart`.  `_divide_out` takes the common factor
-    and the components from a gcd kernel that also returns the quotients,
-    with no polynomial exact division: sympy's gcd cofactors over ZZ over
-    Q, the certified modular gcd of `pairpoly` over Q(sqrt(d)).  On both,
-    the common factor is the gcd made monic in lex order with x > y, and
-    the components are the h / g up to one constant factor, which `RatMap`
-    replaces by its canonical one (`_canonical`).
+    and the components from the certified modular gcd of `pairpoly`, which
+    also returns the quotients.  The common factor is the gcd made monic in
+    lex order with x > y, and the components are the h / g up to one
+    constant factor, which `RatMap` replaces by its canonical one
+    (`_canonical`).
     """
     if all(len(p.terms) == 1 for p in fcomps) and \
             all(len(p.terms) == 1 for p in gcomps):

@@ -91,6 +91,8 @@ class RatMap:
         degs = {c.degree for c in components if not c.is_zero()}
         if len(degs) != 1:
             raise ValueError("components must share a degree")
+        (n,) = degs  # a zero component carries the map's degree
+        components = [c if c or c.degree == n else HomPoly.zero(n) for c in components]
         object.__setattr__(self, "components", tuple(_canonical(components)))
         object.__setattr__(self, "removed_factor", removed_factor)
 

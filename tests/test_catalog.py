@@ -1,5 +1,6 @@
 """Named maps, stored matrices, and polynomial families."""
 
+import json
 import os
 import subprocess
 import sys
@@ -142,3 +143,50 @@ def test_import_loads_neither_sympy_nor_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# Run with sympy unimportable: prints one JSON object of results.
+WITHOUT_SYMPY = """
+import json, sys
+sys.modules["sympy"] = None
+from cremona import catalog
+from cremona.catalog import PSI, PSI_INVERSE, f_ab
+from cremona.dynamics import degree_sequence
+from cremona.poly import divide_exact, parse_poly, poly_gcd, reduce_triple
+from cremona.ratmap import compose, inverse
+
+comps, g = reduce_triple([parse_poly(s) for s in
+                          ("x*y + 2/3*x*z", "y^2 + 2/3*y*z", "y*z + 2/3*z^2")])
+h = compose(f_ab(1, 2), f_ab(1, 2))
+print(json.dumps({
+    "failed": [r.name for r in catalog.verify_all() if not r.ok],
+    "compose": [str(h), str(h.removed_factor)],
+    "reduce_triple": [[str(p) for p in comps], str(g)],
+    "poly_gcd": str(poly_gcd(parse_poly("x^2 - y^2"), parse_poly("x^2 + 2*x*y + y^2"))),
+    "divide_exact": [str(divide_exact(parse_poly("x^3 - y^3"), parse_poly(q)))
+                     for q in ("x - y", "x + y")],
+    "inverse": inverse(PSI, 3) == PSI_INVERSE,
+    "f_ab": degree_sequence(f_ab(1, 2), 8).degrees,
+    "psi": degree_sequence(PSI, 4).degrees,
+}))
+"""
+
+
+def test_runtime_runs_without_sympy():
+    # psi's det Jac does not split into lines over Q, so its iterates take
+    # compose's gcd; f_ab's take the line peel, after one coprimality check.
+    src = os.path.dirname(cremona.__path__[0])
+    out = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY], capture_output=True,
+                         text=True, env={"PYTHONPATH": src}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "failed": [],
+        "compose": ["4*x^2 + 2*x*y + 2*x*z + y*z : 2*x^2 + 3*x*z + z^2 : 3*x^2 + x*y + x*z",
+                    "x^2 + (1/2)*x*y"],
+        "reduce_triple": [["x", "y", "z"], "y + (2/3)*z"],
+        "poly_gcd": "x + y",
+        "divide_exact": ["x^2 + x*y + y^2", "None"],
+        "inverse": True,
+        "f_ab": [2, 2, 3, 4, 5, 7, 9, 12],
+        "psi": [3, 7, 15, 30],
+    }

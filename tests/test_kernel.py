@@ -149,10 +149,10 @@ def test_compose_removes_joint_content_and_z_power():
 
 
 def test_compose_gives_primitive_components_and_the_monic_gcd():
-    # The substituted triple is divided by its gcd made monic in sympy's lex
-    # order (here 2x^2 + xy -> x^2 + xy/2), and the map keeps the primitive
-    # integer components with a positive leading coefficient, not the
-    # factor 2 that dividing by the monic gcd leaves in them.
+    # The substituted triple is divided by its gcd made monic in lex order
+    # with x > y (here 2x^2 + xy -> x^2 + xy/2), and the map keeps the
+    # primitive integer components with a positive leading coefficient, not
+    # the factor 2 that dividing by the monic gcd leaves in them.
     h = compose(f_ab(1, 2), f_ab(1, 2))
     assert str(h) == ("4*x^2 + 2*x*y + 2*x*z + y*z : 2*x^2 + 3*x*z + z^2"
                       " : 3*x^2 + x*y + x*z")

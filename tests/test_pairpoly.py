@@ -1,12 +1,12 @@
-"""The modular gcd over Q(sqrt d) against sympy's algebraic-field gcd.
+"""The modular gcd over Q and Q(sqrt d) against sympy's gcd.
 
 `pairpoly.gcd_cofactors` serves `compose`, `reduce_triple` and `poly_gcd`
-over Q(sqrt d), and its trial division serves `divide_exact` on both
-fields.  The reference is sympy's `Poly.gcd`/`cofactors`/`div` over
-QQ.algebraic_field(sqrt(d)), with polynomials converted through sympy
-expressions, so no conversion code of `cremona.poly` is used by it.  With
-d = 0 the same tests check `reduce_triple`, `poly_gcd` and `divide_exact`
-over Q, against sympy over QQ.
+on both fields, with e = 0 for Q, and its trial division serves
+`divide_exact`.  The reference is sympy's `Poly.gcd`/`cofactors`/`div` over
+QQ, or over QQ.algebraic_field(sqrt(d)), with polynomials converted through
+sympy expressions, so no conversion code of `cremona.poly` is used by it.
+The kernel's two lex divisions, `_divides_mod` over F_p and `_divide` on
+int pairs, also get a fixed case of their own.
 """
 
 from fractions import Fraction
@@ -84,10 +84,10 @@ def _from_sympy(pol, d):
 
 
 def _pair_poly(terms, den, e):
-    se = sympy.sqrt(e)
+    se = _sqrt(e)
     expr = sum(((a + b * se) * X**i * Y**j for (i, j), (a, b) in terms.items()),
                sympy.Integer(0))
-    return sympy.Poly(expr / den, X, Y, domain=sympy.QQ.algebraic_field(se))
+    return sympy.Poly(expr / den, X, Y, domain=_domain(e))
 
 
 def _sympy_gcd(pols):
@@ -109,28 +109,31 @@ def _sympy_reduce(raws, d):
 # -- inputs ------------------------------------------------------------------------
 
 @st.composite
-def pair_terms(draw, max_degree=2):
+def pair_terms(draw, e, max_degree=2):
+    """Pair terms of degree at most max_degree, with every B = 0 for e = 0."""
     deg = draw(st.integers(min_value=0, max_value=max_degree))
+    b_int = small_int if e else st.just(0)
     terms = {}
     for i in range(deg + 1):
         for j in range(deg + 1 - i):
             if draw(st.booleans()):
-                a, b = draw(small_int), draw(small_int)
+                a, b = draw(small_int), draw(b_int)
                 if a or b:
                     terms[(i, j)] = (a, b)
-    return terms or {(0, 0): (draw(st.integers(1, 3)), draw(small_int))}
+    return terms or {(0, 0): (draw(st.integers(1, 3)), draw(b_int))}
 
 
 @st.composite
 def pair_families(draw):
-    """e, and two or three products c * u_i: c a known common factor, which
-    is 1 for coprime inputs, and through the origin when every u_i is."""
-    e = draw(st.sampled_from((-3, 2, -1)))
-    c = draw(pair_terms())
+    """e (0 for Q), and two or three products c * u_i: c a known common
+    factor, which is 1 for coprime inputs, and through the origin when
+    every u_i is."""
+    e = draw(st.sampled_from((-3, 2, -1, 0)))
+    c = draw(pair_terms(e))
     origin = draw(st.booleans())
     polys = []
     for _ in range(draw(st.integers(min_value=2, max_value=3))):
-        u = draw(pair_terms())
+        u = draw(pair_terms(e))
         if origin:
             u = {(i + 1, j) if k else (i, j + 1): v
                  for k, ((i, j), v) in enumerate(sorted(u.items()))}
@@ -238,15 +241,16 @@ def test_candidate_that_is_wrong_modulo_the_first_primes_is_rejected():
 def test_prime_dividing_the_leading_norm_is_skipped():
     # h = (p x + y) u: at p the images lose x from the gcd x + y/p, and a
     # smaller leading monomial y would push out every good prime after it.
-    e = -3
-    p = next(q for q in PRIMES if pow(e % q, (q - 1) // 2, q) == 1)
-    c = {(1, 0): (p, 0), (0, 1): (1, 0)}
-    polys = [(PairPoly(c, e) * PairPoly(u, e)).terms
-             for u in ({(1, 0): (1, 0), (0, 1): (0, 1), (0, 0): (1, 0)},
-                       {(1, 0): (1, 0), (0, 0): (2, 0)})]
-    _check_against_sympy(e, polys)
-    with pytest.raises(ResourceLimit):
-        pairpoly._modular_gcd(polys, e, [p])
+    # Over Q (e = 0) every prime is good but those dividing the norm p^2.
+    for e, u0 in ((-3, {(1, 0): (1, 0), (0, 1): (0, 1), (0, 0): (1, 0)}),
+                  (0, {(1, 0): (1, 0), (0, 1): (3, 0), (0, 0): (1, 0)})):
+        p = next(q for q in PRIMES if not e or pow(e % q, (q - 1) // 2, q) == 1)
+        c = {(1, 0): (p, 0), (0, 1): (1, 0)}
+        polys = [(PairPoly(c, e) * PairPoly(u, e)).terms
+                 for u in (u0, {(1, 0): (1, 0), (0, 0): (2, 0)})]
+        _check_against_sympy(e, polys)
+        with pytest.raises(ResourceLimit):
+            pairpoly._modular_gcd(polys, e, [p])
 
 
 def test_unlucky_evaluation_points_fail_the_division_check():
@@ -254,7 +258,7 @@ def test_unlucky_evaluation_points_fail_the_division_check():
     # over Z, so every prime meets the same unlucky points.  Interpolated,
     # they give 2x + y - 3, which divides h1 and h2 but not h3: only the
     # division check of each image rejects it.
-    for e in (-3, 2):
+    for e in (0, -3, 2):
         def line(a, b, c):
             return PairPoly({(1, 0): (a, 0), (0, 1): (b, 0), (0, 0): (c, 0)}, e)
         polys = [(line(1, 1, -1) * line(2, 1, -3)).terms,  # (x + y - 1)(2x + y - 3)
@@ -264,6 +268,30 @@ def test_unlucky_evaluation_points_fail_the_division_check():
         g, quotients = pairpoly._modular_gcd(polys, e, primes)
         assert g == ({(0, 0): (1, 0)}, 1)
         assert quotients == [(h, 1) for h in polys]
+
+
+def test_grid_divisions_on_a_divisor_with_a_lower_term_of_higher_y_degree():
+    # g = x + y^2: its lex-lower term y^2 has the higher y-degree.  For
+    # h = x*y the first step sends y^2 * y to y^3, outside h's grid of
+    # y-degrees <= 1, so g does not divide h; (x + y^2)(x + 1) it divides.
+    p = PRIMES[0]
+    g = {(1, 0): 1, (0, 2): 1}
+    xy = {(1, 1): 1}
+    h = {(2, 0): 1, (1, 0): 1, (1, 2): 1, (0, 2): 1}
+    assert not pairpoly._divides_mod(xy, g, p)
+    assert pairpoly._divides_mod(h, g, p)
+    assert pairpoly._divides_mod({k: v * 5 for k, v in h.items()}, g, p)
+
+    def pairs(t):
+        return {k: (v, 0) for k, v in t.items()}
+    for e in (0, -3):
+        assert pairpoly._divide(pairs(xy), (pairs(g), 1), e) is None
+        assert pairpoly._divide(pairs(h), (pairs(g), 1), e) == \
+            ({(1, 0): (1, 0), (0, 0): (1, 0)}, 1)
+        # (3x + y^2) / 3 = x + y^2/3 divides (3x + y^2)(x + 1) 3(x + 1) times
+        h3 = {(2, 0): 3, (1, 0): 3, (1, 2): 1, (0, 2): 1}
+        q, s = pairpoly._divide(pairs(h3), ({(1, 0): (3, 0), (0, 2): (1, 0)}, 3), e)
+        assert _pair_poly(q, s, e) == _pair_poly({(1, 0): (3, 0), (0, 0): (3, 0)}, 1, e)
 
 
 def test_primes_are_prime():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cremona.catalog import CUBIC_TABLE, PSI, PSI_INVERSE, f_ab
 from cremona.errors import NOT_CONTRACTED, NOT_FOUND, ResourceLimit
 from cremona.linalg import mat_inverse
-from cremona.poly import HomPoly, LinearForm, parse_poly
+from cremona.poly import HomPoly, LinearForm, parse_poly, substitute
 from cremona.ratmap import (
     JonqElement,
     ProjPoint,
@@ -350,6 +350,19 @@ def test_apply_and_indeterminacy():
 def test_parse_rejects_mixed_degrees():
     with pytest.raises(Exception):
         parse_ratmap("x : y*z : z")
+
+
+def test_zero_components_carry_the_map_degree():
+    assert [c.degree for c in parse_ratmap("x*y : 0 : z^2").components] == [2, 2, 2]
+    # RatMap itself sets it, for canonical and rescaled components alike
+    for scale in (1, 3):
+        f = RatMap((HomPoly.var("x") * scale, HomPoly.zero(), HomPoly.var("z")))
+        assert [c.degree for c in f.components] == [1, 1, 1]
+    # so a parsed map's components substitute as the images of one degree
+    comps = parse_ratmap("x : 0 : z").components
+    assert substitute(parse_poly("x*z"), comps) == parse_poly("x*z")
+    assert compose(parse_ratmap("x*z : y*z : z^2"), parse_ratmap("x : 0 : z")) == \
+        parse_ratmap("x : 0 : z")
 
 
 def test_coefficient_digits_of_a_coefficient_beyond_str_limit():
