@@ -23,16 +23,18 @@ not divide the norm of the lex-leading coefficient of the first input and,
 over Q(sqrt(e)), e is a nonzero square mod p and p does not divide 2e; then
 g has p-integral coefficients and sigma(g) is defined.
 
-Both lex divisions, Brown's check of each image gcd over F_p
-(`_divides_mod`) and the exact trial division on int pairs (`_divide`),
-scan a dense grid of the dividend's x- and y-degrees once, in descending
-lex order.
+Each result is certified once.  The one lex division is the exact trial
+division on int pairs (`_divide`), which scans a dense grid of the
+dividend's x- and y-degrees once, in descending lex order.  Brown's check
+of each image gcd over F_p, which only rejects candidates interpolated from
+unlucky evaluation points, divides univariate images at one point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from fractions import Fraction
 
 from .errors import ResourceLimit
@@ -342,8 +344,14 @@ def _gcd_mod(polys, p):
     Brown's dense algorithm: the polynomials are taken in y over F_p[x];
     their content is a gcd in F_p[x], and the primitive part comes from
     images at x = a, each a monic gcd in y scaled by gamma(a) for gamma the
-    gcd of the leading coefficients, interpolated in x and made primitive,
-    and checked by division.
+    gcd of the leading coefficients, interpolated in x and made primitive.
+    The candidate is checked at one point x0 = `_check_point(p)`: its image
+    in y must divide the image of every primitive input.  A true divisor
+    always passes, and a candidate interpolated from unlucky points (where
+    the image gcd has too high a degree) passes only when x0 is a root of a
+    nonzero remainder coefficient, with probability at most deg/p.  A false
+    pass costs `_modular_gcd` a prime, never a wrong gcd: it returns a gcd
+    only after the exact trial division `_divide`.
     """
     polys = [q for q in polys if q]
     if len(polys) == 1:
@@ -393,10 +401,19 @@ def _gcd_mod(polys, p):
             if row:
                 c = _ugcd(c, row, p) if c else _umonic(row, p)
         cand = [_udivmod(row, c, p)[0] for row in cand]
-        cterms = _times_rows([1], cand, p)
-        if all(_divides_mod(_times_rows([1], rs, p), cterms, p) for rs in prims):
+        x0 = _check_point(p)
+        c0 = pstrip([_ueval(row, x0, p) for row in cand])
+        if all(not _udivmod(pstrip([_ueval(row, x0, p) for row in rs]), c0, p)[1]
+               for rs in prims):
             return _monic_mod(_times_rows(content, cand, p), p)
         points = []  # every point so far was unlucky
+
+
+def _check_point(p):
+    """The x at which `_gcd_mod` checks a candidate mod p: seeded by p, so
+    deterministic, but not one x for all primes, since an x unlucky at
+    every prime would pass the same wrong candidate at each."""
+    return random.Random(p).randrange(1, p)
 
 
 def _rows(q, p):
@@ -425,31 +442,6 @@ def _times_rows(c, rows, p):
 def _monic_mod(q, p):
     inv = pow(q[max(q)], -1, p)
     return {k: v * inv % p for k, v in q.items()}
-
-
-def _divides_mod(h, g, p):
-    """Whether g divides h over F_p: lex division with x > y as one
-    descending-lex scan of h's dense grid, as in `_divide`."""
-    gi, gj = lm = max(g)
-    inv = pow(g[lm], -1, p)
-    rest = [(i - gi, j - gj, v) for (i, j), v in g.items() if (i, j) != lm]
-    width = max(j for _i, j in h) + 1
-    grid = _grid(h, width)
-    for i in range(len(grid) - 1, -1, -1):
-        row = grid[i]
-        for j in range(width - 1, -1, -1):
-            c = row[j] % p
-            if not c:
-                continue
-            if i < gi or j < gj:
-                return False
-            c = c * inv % p
-            for di, dj, v in rest:
-                t = j + dj
-                if t >= width:
-                    return False
-                grid[i + di][t] -= c * v
-    return True
 
 
 def _interpolate(points, p):

@@ -298,7 +298,7 @@ class HomPoly(_Sparse):
         out = {}
         for e, c in self.terms.items():
             if e[axis] < amount:
-                raise ArithmeticError("variable power does not divide")
+                raise InexactDivision("variable power does not divide")
             ee = list(e)
             ee[axis] -= amount
             out[tuple(ee)] = c

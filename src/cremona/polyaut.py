@@ -151,6 +151,11 @@ def jung_decompose(f):
     a power of the lower one via a left-composed map (x - c*y^k, y)
     (swapping components first when needed).  Returns NOT_AUTOMORPHISM when
     no cancellation exists while the degree exceeds one.
+
+    The word is exact by construction, so it is not recomposed: each step
+    applies (x - c*y^k, y) or the swap and records its exact inverse,
+    `_merge_factors` composes adjacent factors exactly, and the last factor
+    passes `_affine_invertible`.
     """
     if f.degree > DEGREE_CAP:
         raise ValueError(f"component degree exceeds cap {DEGREE_CAP}")
@@ -185,11 +190,7 @@ def jung_decompose(f):
     if not _affine_invertible(cur):
         return NOT_AUTOMORPHISM
     peeled.append(Factor("affine", cur))
-    factors = _merge_factors(peeled)
-    word = JungWord(factors=factors, source=f)
-    if word.recompose() != f:
-        return NOT_AUTOMORPHISM
-    return word
+    return JungWord(factors=_merge_factors(peeled), source=f)
 
 
 def _merge_factors(factors):

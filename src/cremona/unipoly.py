@@ -13,6 +13,7 @@ step and stay there.
 
 from __future__ import annotations
 
+from .errors import InexactDivision
 from .scalars import Scalar
 
 SZERO = Scalar(0)
@@ -99,7 +100,7 @@ def pdivmod(num, den):
 def pquo_exact(num, den):
     q, r = pdivmod(num, den)
     if r:
-        raise ArithmeticError("inexact polynomial division")
+        raise InexactDivision("inexact polynomial division")
     return q
 
 

@@ -5,8 +5,9 @@ on both fields, with e = 0 for Q, and its trial division serves
 `divide_exact`.  The reference is sympy's `Poly.gcd`/`cofactors`/`div` over
 QQ, or over QQ.algebraic_field(sqrt(d)), with polynomials converted through
 sympy expressions, so no conversion code of `cremona.poly` is used by it.
-The kernel's two lex divisions, `_divides_mod` over F_p and `_divide` on
-int pairs, also get a fixed case of their own.
+The kernel's one lex division, `_divide` on int pairs, also gets a fixed
+case of its own, and Brown's check of each image gcd, a univariate
+division at one point, gets the unlucky points it exists to reject.
 """
 
 from fractions import Fraction
@@ -270,17 +271,33 @@ def test_unlucky_evaluation_points_fail_the_division_check():
         assert quotients == [(h, 1) for h in polys]
 
 
+def _unlucky_triple(e):
+    def line(a, b, c):
+        return PairPoly({(1, 0): (a, 0), (0, 1): (b, 0), (0, 0): (c, 0)}, e)
+    return [(line(1, 1, -1) * line(2, 1, -3)).terms,  # (x + y - 1)(2x + y - 3)
+            line(-2, -1, 3).terms,                    # 3 - 2x - y
+            (line(1, 1, -1) * line(1, 1, -2)).terms]  # (x + y - 1)(x + y - 2)
+
+
+def test_a_check_point_fixed_at_an_unlucky_x_never_certifies(monkeypatch):
+    # At x = 1 the candidate 2x + y - 3 interpolated from the unlucky points
+    # has the image y - 1, which divides every input's image, so a check at
+    # x = 1 passes it at every prime and the exact division rejects it at
+    # every prime.  The seeded check point is what lets the gcd return.
+    monkeypatch.setattr(pairpoly, "_check_point", lambda p: 1)
+    primes = [pairpoly._prime(k) for k in range(12)]
+    for e in (0, -3, 2):
+        with pytest.raises(ResourceLimit):
+            pairpoly._modular_gcd(_unlucky_triple(e), e, primes)
+
+
 def test_grid_divisions_on_a_divisor_with_a_lower_term_of_higher_y_degree():
     # g = x + y^2: its lex-lower term y^2 has the higher y-degree.  For
     # h = x*y the first step sends y^2 * y to y^3, outside h's grid of
     # y-degrees <= 1, so g does not divide h; (x + y^2)(x + 1) it divides.
-    p = PRIMES[0]
     g = {(1, 0): 1, (0, 2): 1}
     xy = {(1, 1): 1}
     h = {(2, 0): 1, (1, 0): 1, (1, 2): 1, (0, 2): 1}
-    assert not pairpoly._divides_mod(xy, g, p)
-    assert pairpoly._divides_mod(h, g, p)
-    assert pairpoly._divides_mod({k: v * 5 for k, v in h.items()}, g, p)
 
     def pairs(t):
         return {k: (v, 0) for k, v in t.items()}

@@ -21,7 +21,7 @@ from cremona.poly import (
     substitute,
 )
 from cremona.scalars import Scalar
-from cremona.unipoly import ppow
+from cremona.unipoly import ppow, pquo_exact
 
 X, Y, Z = (HomPoly.var(v) for v in "xyz")
 
@@ -135,6 +135,16 @@ def test_factor_linear_cubic_quotient_is_a_typed_error(monkeypatch):
                         lambda p, field_d: LinearForm([1, 1, 1]))
     with pytest.raises(InexactDivision):
         factor_linear_cubic(X * Y + Z * Z)
+
+
+def test_inexact_univariate_quotient_is_a_typed_error():
+    with pytest.raises(InexactDivision):
+        pquo_exact([Scalar(1), Scalar(1)], [Scalar(0), Scalar(1)])  # (1 + u) / u
+
+
+def test_shift_down_by_a_power_that_does_not_divide_is_a_typed_error():
+    with pytest.raises(InexactDivision):
+        (X * Y).shift_down(0, 2)
 
 
 def test_negative_homogeneous_power_is_rejected():

@@ -203,7 +203,10 @@ CANONICAL_INVERSES = {
 @pytest.mark.parametrize("f, d, old", PINNED_INVERSES)
 def test_inverse_outputs_are_pinned(f, d, old):
     want = CANONICAL_INVERSES.get(old, old)
-    assert str(inverse(f, d)) == want
+    g = inverse(f, d)
+    assert str(g) == want
+    # inverse certifies g o f = id alone; f o g = id must follow
+    assert compose(f, g).is_identity() and compose(g, f).is_identity()
     split = [[parse_poly(p) for p in text.split(":")] for text in (old, want)]
     assert _ratio(*split) is not None
 
