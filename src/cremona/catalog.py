@@ -256,8 +256,8 @@ def p_nm(n, m):
         raise ValueError("need n >= 3 and m >= 1")
     fac1 = [-1] + [0] * (n * m - 1) + [1]          # t^(nm) - 1
     fac2 = [1] + [0] * (n - 2) + [-2, 1]           # t^n - 2 t^(n-1) + 1
-    num = pmul([0, 1], pmul(fac1, fac2, zero=0), zero=0)  # leading t factor
-    den = pmul([-1] + [0] * (n - 1) + [1], [-1, 1], zero=0)
+    num = pmul([0, 1], pmul(fac1, fac2))  # leading t factor
+    den = pmul([-1] + [0] * (n - 1) + [1], [-1, 1])
     quo = _intpoly_divmod(num, den)
     if quo is None:
         raise InexactDivision(f"(t^{n}-1)(t-1) does not divide the numerator")
@@ -469,7 +469,7 @@ def _verify_psi(rep):
 
 def _verify_action16(rep, M):
     cp = charpoly_int(M)
-    expected = functools.reduce(lambda p, q: pmul(p, q, zero=0), ACTION_16_CHARPOLY_FACTORS)
+    expected = functools.reduce(pmul, ACTION_16_CHARPOLY_FACTORS)
     rep.add("characteristic polynomial matches stored factorization",
             _poly_equiv(cp, expected))
     rep.add("det = +-1", abs(cp[0]) == 1)

@@ -146,7 +146,7 @@ def poly_roots(coeffs):
     residuals = []
     bound = ROOT_RESIDUAL_BOUND * scale
     for r in roots:
-        res = abs(peval(cs, r, zero=0j))
+        res = abs(peval(cs, r))
         # the residual scales with the root magnitude for large roots
         tol = bound * max(1.0, abs(r)) ** (len(cs) - 1)
         if res > tol:

@@ -27,7 +27,8 @@ Each result is certified once.  The one lex division is the exact trial
 division on int pairs (`_divide`), which scans a dense grid of the
 dividend's x- and y-degrees once, in descending lex order.  Brown's check
 of each image gcd over F_p, which only rejects candidates interpolated from
-unlucky evaluation points, divides univariate images at one point.
+unlucky evaluation points, divides univariate images at one point.  The
+univariate F_p routines and the Miller-Rabin test are in `unipoly`.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import random
 from fractions import Fraction
 
 from .errors import ResourceLimit
-from .unipoly import pstrip
+from .unipoly import _is_prime, _uadd, _udivmod, _ueval, _ugcd, _umonic, _umul, pstrip
 
 _PRIME_TOP = 1 << 62
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class PairPoly:
@@ -173,25 +173,6 @@ def _modular_gcd(polys, e, primes):
 
 
 # -- primes and reconstruction ------------------------------------------------
-
-def _is_prime(n):
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 @functools.lru_cache(maxsize=None)
 def _prime(k):
@@ -457,57 +438,3 @@ def _interpolate(points, p):
                 rows[t] = _uadd(rows[t], [c * delta for c in basis], p)
         basis = _umul(basis, [-a % p, 1], p)
     return [pstrip(row) for row in rows]
-
-
-# univariate polynomials over F_p: lists of ints, constant term first, reduced
-# mod p at every step (the generic helpers are in `unipoly`)
-
-def _ueval(a, x, p):
-    v = 0
-    for c in reversed(a):
-        v = (v * x + c) % p
-    return v
-
-
-def _uadd(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = [c % p for c in a]
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return pstrip(out)
-
-
-def _umul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return [c % p for c in out]
-
-
-def _umonic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _udivmod(a, b, p):
-    """Quotient and remainder of a by b."""
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = q[k - db] = a[k] * inv % p
-        if c:
-            for t in range(db):
-                a[k - db + t] = (a[k - db + t] - c * b[t]) % p
-    return q, pstrip(a[:db])
-
-
-def _ugcd(a, b, p):
-    """Monic gcd of nonzero a and b."""
-    while b:
-        a, b = b, _udivmod(a, b, p)[1]
-    return _umonic(a, p)

@@ -21,7 +21,6 @@ from .errors import NOT_CONTRACTED, NOT_FOUND, NOT_FULLY_SPLIT, ZeroMap
 from .linalg import mat_inverse, nullspace
 from .poly import (
     HomPoly,
-    LinearForm,
     _canonical,
     _chart_images,
     _compose_on_lines,
@@ -226,7 +225,11 @@ def inverse(f, target_degree):
     """Inverse of degree target_degree via the cross-product linear ansatz.
 
     Unknown triple g; the conditions (g o f)_i * x_j - (g o f)_j * x_i = 0
-    are linear in g's coefficients.  Returns a RatMap or NOT_FOUND.
+    are linear in g's coefficients.  Returns a RatMap or NOT_FOUND.  Only
+    the blocks (i, j) = (0, 1) and (0, 2) are imposed.  With G_i = (g o f)_i
+    they say G0 y = G1 x and G0 z = G2 x, so x (G1 z - G2 y) =
+    z (G0 y) - y (G0 z) = 0, and since the chart ring Q[x, y] has no zero
+    divisors the block (1, 2) follows: the nullspace is that of all three.
 
     The images of the ansatz monomials under f come from `_chart_images` as
     ints (int pairs over Q(sqrt(d))) in the z = 1 chart, all scaled by one
@@ -251,7 +254,7 @@ def inverse(f, target_degree):
         negs = [{e: -c for e, c in img.items()} for img in imgs]
     unit = ((1, 0), (0, 1), (0, 0))  # x, y, z in the chart (i, j)
     rows = {}
-    for block, (ci, cj) in enumerate(((0, 1), (0, 2), (1, 2))):
+    for block, (ci, cj) in enumerate(((0, 1), (0, 2))):
         for k in range(nmon):
             # + image_k * x_cj in column (ci, k), - image_k * x_ci in column (cj, k)
             for col, (si, sj), img in ((ci * nmon + k, unit[cj], imgs[k]),
@@ -307,9 +310,8 @@ def _on_line(f, L):
 
 
 def is_contracted_line(f, L):
-    """Constant image point of the line {L = 0}, or NOT_CONTRACTED."""
-    if isinstance(L, HomPoly):
-        L = LinearForm.from_poly(L)
+    """For a LinearForm L, the constant image point of the line {L = 0}, or
+    NOT_CONTRACTED."""
     return _on_line(f, L)[0]
 
 
@@ -399,7 +401,7 @@ class MultiplicityProfile:
         return sum(m) == 3 * (nu - 1) and sum(v * v for v in m) == nu * nu - 1
 
 
-def noether_solve(nu, constraint=None):
+def noether_solve(nu):
     """All multisets of base-point multiplicities compatible with degree nu.
 
     Solves sum(m) = 3(nu-1), sum(m^2) = nu^2 - 1 with 1 <= m_i <= nu - 1,
@@ -424,8 +426,6 @@ def noether_solve(nu, constraint=None):
             rec(prefix + [m], m, s - m, q - m * m)
 
     rec([], nu - 1, target_s, target_q)
-    if constraint is not None:
-        out = [p for p in out if p.multiplicities and p.multiplicities[0] == constraint]
     return out
 
 

@@ -208,9 +208,6 @@ class Scalar:
             k >>= 1
         return r
 
-    def conjugate(self):
-        return Scalar(self.a, -self.b, self.d)
-
     # -- square roots inside the field ------------------------------------
 
     def sqrt_in_field(self, field_d=None):

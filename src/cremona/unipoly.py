@@ -2,22 +2,23 @@
 
 Polynomials are plain lists of coefficients, constant term first, with no
 trailing zeros (the zero polynomial is the empty list).  Coefficients only
-need the usual operator overloads (+, -, *, /, ==, bool), so the same
+need the usual operator overloads (+, -, *, /, **, ==, bool), so the same
 routines serve int, complex and Scalar coefficients alike, and the
-polynomial entries of de Jonquieres elements in `ratmap`; a routine that
-starts from a zero or a one takes it as an argument, Scalar by default
-(`pmul(p, q, zero=0)` multiplies int lists).  `_intpoly_divmod` is
-exact division over Z.  The F_p helpers of `pairpoly` reduce mod p at every
-step and stay there.
+polynomial entries of de Jonquieres elements in `ratmap`.  A routine that
+starts from a zero or a one takes it from its inputs (`p[0] * 0`,
+`p[0] ** 0`), so int lists give ints, complex lists complex numbers and
+Scalar lists Scalars.  `_intpoly_divmod` is exact division over Z.
+
+The F_p section holds int lists reduced mod a prime p at every step, for
+the images of `pairpoly`'s modular gcd and `weyl.strip_cyclotomic`, and
+the Miller-Rabin test that picks their primes.
 """
 
 from __future__ import annotations
 
 from .errors import InexactDivision
-from .scalars import Scalar
 
-SZERO = Scalar(0)
-SONE = Scalar(1)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def pstrip(p):
@@ -53,10 +54,10 @@ def pscale(p, c):
     return [ci * c for ci in p]
 
 
-def pmul(p, q, zero=SZERO):
+def pmul(p, q):
     if not p or not q:
         return []
-    out = [zero] * (len(p) + len(q) - 1)
+    out = [p[0] * q[0] * 0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if not a:
             continue
@@ -65,15 +66,16 @@ def pmul(p, q, zero=SZERO):
     return pstrip(out)
 
 
-def ppow(p, k, zero=SZERO, one=SONE):
+def ppow(p, k):
+    """p^k for k >= 0; the zero polynomial has no one of its own, so 1."""
     if k < 0:
         raise ValueError(f"negative power {k} of a polynomial")
-    r = [one]
+    r = [p[0] ** 0] if p else [1]
     base = list(p)
     while k:
         if k & 1:
-            r = pmul(r, base, zero)
-        base = pmul(base, base, zero)
+            r = pmul(r, base)
+        base = pmul(base, base)
         k >>= 1
     return r
 
@@ -85,16 +87,13 @@ def pdivmod(num, den):
     r = pstrip(list(num))
     dn = len(den) - 1
     lead = den[-1]
-    q = []
-    while r and len(r) - 1 >= dn:
-        shift = len(r) - 1 - dn
-        c = r[-1] / lead
-        zero = c - c
-        q = padd(q, [zero] * shift + [c])
-        for i, b in enumerate(den):
-            r[shift + i] = r[shift + i] - c * b
-        pstrip(r)
-    return q, r
+    q = [None] * max(len(r) - dn, 0)
+    for k in range(len(r) - 1, dn - 1, -1):
+        c = q[k - dn] = r[k] / lead
+        if c:
+            for t in range(dn):
+                r[k - dn + t] = r[k - dn + t] - c * den[t]
+    return q, pstrip(r[:dn])
 
 
 def pquo_exact(num, den):
@@ -120,8 +119,8 @@ def pgcd(p, q):
     return pmonic(a)
 
 
-def peval(p, x, zero=SZERO):
-    acc = zero
+def peval(p, x):
+    acc = x * 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -147,7 +146,7 @@ def _intpoly_divmod(num, den):
     return out
 
 
-def peval_mobius(p, num, den, zero=SZERO, one=SONE):
+def peval_mobius(p, num, den):
     """p(num/den) * den^deg(p) as a polynomial; used for Mobius substitution."""
     n = len(p) - 1
     if n < 0:
@@ -156,7 +155,78 @@ def peval_mobius(p, num, den, zero=SZERO, one=SONE):
     for i, c in enumerate(p):
         if not c:
             continue
-        term = pscale(pmul(ppow(num, i, zero, one), ppow(den, n - i, zero, one), zero), c)
+        term = pscale(pmul(ppow(num, i), ppow(den, n - i)), c)
         out = padd(out, term)
     return out
 
+
+# -- over F_p: lists of ints, reduced mod the prime p at every step ---------
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _ueval(a, x, p):
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % p
+    return v
+
+
+def _uadd(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    out = [c % p for c in a]
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return pstrip(out)
+
+
+def _umul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return [c % p for c in out]
+
+
+def _umonic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _udivmod(a, b, p):
+    """Quotient and remainder of a by b."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = q[k - db] = a[k] * inv % p
+        if c:
+            for t in range(db):
+                a[k - db + t] = (a[k - db + t] - c * b[t]) % p
+    return q, pstrip(a[:db])
+
+
+def _ugcd(a, b, p):
+    """Monic gcd of nonzero a and b."""
+    while b:
+        a, b = b, _udivmod(a, b, p)[1]
+    return _umonic(a, p)

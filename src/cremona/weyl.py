@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .errors import BUDGET_EXCEEDED, BadDimension, DimensionMismatch, InexactDivision, NotARoot
 from .linalg import charpoly_int, mat_mul
-from .pairpoly import _is_prime, _ueval
-from .unipoly import _intpoly_divmod
+from .unipoly import _intpoly_divmod, _is_prime, _ueval
 
 _FILTER_PRIME_TOP = 1 << 31
 MODULUS_TOL = 1e-8
@@ -86,29 +85,13 @@ def cyclic_permutation(n):
 def standard_element(n):
     """Standard Coxeter element w = pi_n kappa_123 of W_n (kappa_123 at n=3).
 
-    Explicit action: w(e0) = 2e0-e2-e3-e4, w(e1) = e0-e3-e4,
-    w(e2) = e0-e2-e4, w(e3) = e0-e2-e3, w(e_j) = e_{j+1} for 4 <= j <= n-1,
-    and w(e_n) = e1.
+    pi_n sends e_i to e_{i+1} for 1 <= i < n and e_n to e_1, so it moves row
+    i of kappa_123 to row i + 1 and row n to row 1.  Explicit action:
+    w(e0) = 2e0-e2-e3-e4, w(e1) = e0-e3-e4, w(e2) = e0-e2-e4,
+    w(e3) = e0-e2-e3, w(e_j) = e_{j+1} for 4 <= j <= n-1, and w(e_n) = e1.
     """
-    if n < 3:
-        raise BadDimension("need n >= 3")
-    if n == 3:
-        return kappa123(3)
-    size = n + 1
-    cols = [[0] * size for _ in range(size)]
-
-    def setcol(j, entries):
-        for i, v in entries:
-            cols[j][i] = v
-
-    setcol(0, [(0, 2), (2, -1), (3, -1), (4, -1)])
-    setcol(1, [(0, 1), (3, -1), (4, -1)])
-    setcol(2, [(0, 1), (2, -1), (4, -1)])
-    setcol(3, [(0, 1), (2, -1), (3, -1)])
-    for j in range(4, n):
-        setcol(j, [(j + 1, 1)])
-    setcol(n, [(1, 1)])
-    return [[cols[j][i] for j in range(size)] for i in range(size)]
+    k = kappa123(n)
+    return k if n == 3 else [k[0], k[n]] + k[1:n]
 
 
 def minkowski_gram(n):

@@ -177,7 +177,7 @@ def test_criterion_08_weyl_salem():
 
 
 def test_criterion_09_catalog_matrices():
-    expected = functools.reduce(lambda p, q: pmul(p, q, zero=0), ACTION_16_CHARPOLY_FACTORS)
+    expected = functools.reduce(pmul, ACTION_16_CHARPOLY_FACTORS)
     golden = (3 + 5 ** 0.5) / 2
     for M in (PHI3_ACTION_16, PSI_ACTION_16):
         cp = charpoly_int(M)

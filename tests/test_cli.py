@@ -28,6 +28,18 @@ def test_compose_identity(capsys):
     assert data["field_discriminant"] == 0
 
 
+def test_map_info_payload(capsys):
+    code, data = run_json(capsys, "map-info", "--f", "x*y + y*z : x*z + z^2 : x^2 + x*z")
+    assert code == 0 and data["command"] == "map-info"
+    assert data["map"] == "y : z : x" and data["degree"] == 1
+    assert data["removed_factor"] == "x + z" and data["is_identity"] is False
+    code, data = run_json(capsys, "map-info", "--f", "x*z : y*z : z^2")
+    assert code == 0 and data["is_identity"] is True and data["removed_factor"] == "z"
+    code, data = run_json(capsys, "map-info", "--f", "sqrt(-3)*x : y : z")
+    assert code == 0 and data["field_discriminant"] == -3
+    assert data["removed_factor"] is None and data["is_identity"] is False
+
+
 def test_classify_quadratic(capsys):
     code, data = run_json(capsys, "classify-quadratic", "--f", "x*y:z^2:y*z")
     assert code == 0 and data["stratum"] == "Sigma2"

@@ -16,7 +16,7 @@ from cremona.dynamics import (
     lambda_estimate,
     stability_probe,
 )
-from cremona.errors import DegreeMismatch
+from cremona.errors import DegreeMismatch, FieldObstruction
 from cremona.linalg import mat_inverse
 from cremona.poly import (
     HomPoly,
@@ -172,6 +172,12 @@ def test_default_horizon_follows_the_degree():
     # 12 iterates for a quadratic map, 8 for a cubic one
     assert degree_sequence(SIGMA).degrees == [2, 1] * 6
     assert degree_sequence(phi_map(3)).degrees == [3] * 8
+
+
+def test_contraction_targets_of_degenerate_jacobians():
+    assert dynamics.contraction_targets(parse_ratmap("x^2 : x*y : y^2")) == []
+    with pytest.raises(FieldObstruction):
+        dynamics.contraction_targets(parse_ratmap("x^2 + y^2 : x*z : y*z"))
 
 
 def test_stability_probe_sigma_immediate_collision():

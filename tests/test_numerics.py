@@ -1,10 +1,12 @@
 """Floating-point layer: orbits, roots, Newton solving."""
 
 import cmath
+from fractions import Fraction
 
 import pytest
 
 import cremona.numerics as numerics
+from cremona.catalog import f_ab
 from cremona.errors import IllConditioned, NonConvergence, PoleAtSeed
 from cremona.numerics import (
     OrbitCloud,
@@ -16,6 +18,7 @@ from cremona.numerics import (
     poly_roots,
     project_cloud,
 )
+from cremona.ratmap import ProjPoint
 
 
 def test_poly_roots_oracles():
@@ -45,6 +48,19 @@ def test_orbit_conserves_y_modulus_generic_beta():
     cloud = iterate_family("f_alpha_beta", (alpha, beta), (1e-4j, 1e-4j), 10000)
     ys = [abs(p[1]) for p in cloud.points]
     assert (max(ys) - min(ys)) / 1e-4 < 1e-9
+
+
+def test_bk_fab_orbit_matches_the_exact_orbit_of_f_ab():
+    a, b, seed = Fraction(1, 3), Fraction(2), (Fraction(1, 2), Fraction(-3, 7))
+    f = f_ab(a, b)
+    pt = ProjPoint([1, *seed])
+    cloud = iterate_family("bk_fab", (float(a), float(b)), tuple(map(float, seed)), 8)
+    assert len(cloud.points) == 8 and not cloud.diverged
+    for u, v in cloud.points:
+        pt = f.apply(pt)
+        x, y, z = pt.coords  # the chart x = 1
+        assert x == 1 and y.is_rational() and z.is_rational()
+        assert abs(u - float(y.a)) < 1e-12 and abs(v - float(z.a)) < 1e-12
 
 
 def test_pole_at_seed():

@@ -21,7 +21,7 @@ from cremona.poly import (
     substitute,
 )
 from cremona.scalars import Scalar
-from cremona.unipoly import ppow, pquo_exact
+from cremona.unipoly import pdivmod, peval, peval_mobius, pmul, ppow, pquo_exact
 
 X, Y, Z = (HomPoly.var(v) for v in "xyz")
 
@@ -163,6 +163,23 @@ def test_negative_univariate_power_is_rejected():
     with pytest.raises(ValueError):
         ppow([Scalar(1), Scalar(1)], -1)
     assert ppow([Scalar(1), Scalar(1)], 2) == [Scalar(1), Scalar(2), Scalar(1)]
+
+
+@pytest.mark.parametrize("kind", [Scalar, int, complex])
+def test_univariate_routines_take_their_zero_and_one_from_their_inputs(kind):
+    p, q = [kind(1), kind(0), kind(2)], [kind(3), kind(1)]
+    for out in (pmul(p, q), ppow(q, 0), ppow(q, 3), peval_mobius(p, q, [kind(1), kind(1)])):
+        assert out and all(type(c) is kind for c in out)
+    assert type(peval(p, kind(2))) is kind and peval(p, kind(2)) == 9
+    assert type(peval([], kind(2))) is kind
+
+
+@pytest.mark.parametrize("kind", [Scalar, Fraction, complex])
+def test_univariate_division_keeps_the_field(kind):
+    # x^3 + 3x^2 + 2x + 11 = (x^2 + 2)(x + 3) + 5: a zero quotient coefficient
+    q, r = pdivmod([kind(11), kind(2), kind(3), kind(1)], [kind(3), kind(1)])
+    assert q == [kind(2), kind(0), kind(1)] and r == [kind(5)]
+    assert all(type(c) is kind for c in q + r)
 
 
 W = Scalar(0, 1, -3)

@@ -217,6 +217,17 @@ def test_strata():
     assert quadratic_classify(TAU).stratum == "Sigma1"
 
 
+@pytest.mark.parametrize("text, stratum", [
+    ("x*y : x*z : x^2", "Sigma0"),  # the common factor x leaves a linear map
+    ("x^2 : x*y : y^2", "NotBirational"),  # det Jac vanishes identically
+    ("x^2 + y^2 : x*z : y*z", "FieldObstruction"),  # x^2 + y^2 has no line over Q
+])
+def test_degenerate_strata(text, stratum):
+    qc = quadratic_classify(parse_ratmap(text))
+    assert qc.stratum == stratum
+    assert qc.field_obstructed == (stratum == "FieldObstruction")
+
+
 def test_sigma_indeterminacy_points():
     pts, obstructed = indeterminacy_points_quadratic(SIGMA)
     assert not obstructed

@@ -64,6 +64,30 @@ def test_standard_element_word_identity():
         assert preserves_form(standard_element(n))
 
 
+def _column(n, entries):
+    v = [0] * (n + 1)
+    for i, c in entries:
+        v[i] = c
+    return v
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_standard_element_has_the_explicit_action(n):
+    cols = [list(c) for c in zip(*standard_element(n))]
+    assert cols[0] == _column(n, [(0, 2), (2, -1), (3, -1), (4, -1)])
+    assert cols[1] == _column(n, [(0, 1), (3, -1), (4, -1)])
+    assert cols[2] == _column(n, [(0, 1), (2, -1), (4, -1)])
+    assert cols[3] == _column(n, [(0, 1), (2, -1), (3, -1)])
+    for j in range(4, n):
+        assert cols[j] == _column(n, [(j + 1, 1)])
+    assert cols[n] == _column(n, [(1, 1)])
+
+
+def test_standard_element_at_n3_is_kappa123():
+    assert standard_element(3) == kappa123(3) == [
+        [2, 1, 1, 1], [-1, 0, -1, -1], [-1, -1, 0, -1], [-1, -1, -1, 0]]
+
+
 def test_lehmer_divides_charpoly_n10():
     cp = char_poly(standard_element(10))
     residual, removed = strip_cyclotomic(cp)
@@ -278,7 +302,7 @@ def test_strip_cyclotomic_matches_every_d_reference(factors, with_lehmer):
     p = LEHMER if with_lehmer else [1]
     for d, m in factors:
         for _ in range(m):
-            p = pmul(p, cyclotomic(d), zero=0)
+            p = pmul(p, cyclotomic(d))
     residual, removed = strip_cyclotomic(p)
     assert (residual, removed) == _strip_every_d(p)
     assert removed == sorted(d for d, m in factors for _ in range(m))
@@ -293,7 +317,7 @@ def test_strip_cyclotomic_divides_where_the_filter_passes(d):
     assert (prime - 1) % d == 0 and all(pow(w, k, prime) != 1 for k in range(1, d))
     p = list(cyclotomic(d))
     p[0] += prime
-    p = pmul(p, cyclotomic(d), zero=0)
+    p = pmul(p, cyclotomic(d))
     residual, removed = strip_cyclotomic(p)
     assert (residual, removed) == _strip_every_d(p)
     assert removed.count(d) == 1
